@@ -65,20 +65,15 @@ class DenseTownSpec(ExperimentSpec):
     #: Channels in the fleet's operation schedule.  One channel keeps the
     #: historical ``single-ch`` pin (and is the contended perf bench's
     #: operating point: with every NIC tuned to the same channel the
-    #: scalar delivery scan checks the whole fleet per frame and the
-    #: scalar hidden-terminal walk sees every flight — exactly the loops
-    #: the array-backed paths collapse); several run Spider's equal-split
-    #: multi-channel schedule, the paper's operating point for the
-    #: channel-assignment experiments.
+    #: scalar delivery scan checks the whole fleet per frame and every
+    #: flight lands in one channel's cells — the loops the vectorized
+    #: medium and the contention sense grid collapse); several run
+    #: Spider's equal-split multi-channel schedule, the paper's operating
+    #: point for the channel-assignment experiments.
     channels: Tuple[int, ...] = (1,)
     #: Delivery path: ``True``/``False`` force the vectorized/scalar
     #: medium, ``None`` defers to ``REPRO_MEDIUM_VECTOR``.
     vector: Optional[bool] = None
-    #: Contention state: ``True``/``False`` force the array-backed/scalar
-    #: CSMA/CA state (no effect unless ``contention`` is enabled),
-    #: ``None`` defers to ``REPRO_CONTENTION_VECTOR``.  Either way the
-    #: rows are byte-identical — only wall-clock differs.
-    contention_vector: Optional[bool] = None
     #: Town overrides (``None`` keeps the preset's value).
     loop_length_m: Optional[float] = None
     ap_density_per_km: Optional[float] = None
@@ -225,7 +220,6 @@ def run_dense_trial(
             config=spec.town_config(),
             transport=spec.transport,
             contention=spec.contention,
-            contention_vector=spec.contention_vector,
         )
         spacing = town.config.loop_length_m / max(spec.n_vehicles, 1)
         clients = []

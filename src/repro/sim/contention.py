@@ -16,7 +16,10 @@ This module supplies that model as an opt-in layer on the medium:
   cell neighbourhood (802.11's sense range exceeds its data range) but
   busy-marks only its *own* cell, so nearby stations serialize while
   distant cells transmit concurrently and busy horizons stay bounded by
-  local load.  Domain computation is O(cell), never O(world).
+  local load.  Each channel keeps a dense grid of *sensed* horizons:
+  booking a cell writes its 3x3 footprint, so a sense reads exactly one
+  cell — the max over the neighbourhood's own-cell bookings.  Domain
+  work is O(cell), never O(world).
 * **Slotted binary-exponential backoff**: every access attempt pays DIFS
   plus a uniform draw from ``[0, cw)`` slots off the dedicated seeded
   ``medium.contention`` stream.  A busy medium defers the sender to the
@@ -32,11 +35,13 @@ This module supplies that model as an opt-in layer on the medium:
   footprint; at delivery time each candidate receiver checks *its own*
   cell for a foreign flight overlapping the frame's airtime and, when
   one exists, misses the frame (no loss draw is consumed — the frame
-  was destroyed by interference, not channel noise).  Receivers outside
-  the interferer's footprint still hear the frame, so one hidden
-  terminal damages a pocket of the coverage area rather than the whole
-  transmission.  A unicast sender whose destination was wiped gets the
-  missing-ACK signal and doubles its window.
+  was destroyed by interference, not channel noise).  A delivery
+  screens each receiver cell's flights once (foreign sender, overlapping
+  airtime) and reuses the survivors for every receiver in that cell.
+  Receivers outside the interferer's footprint still hear the frame, so
+  one hidden terminal damages a pocket of the coverage area rather than
+  the whole transmission.  A unicast sender whose destination was wiped
+  gets the missing-ACK signal and doubles its window.
 * **Accounting**: per-channel and per-sender airtime, deferral, and
   collision tallies, plus :mod:`repro.obs` counters and an
   :meth:`ContentionState.export_telemetry` hook that publishes per-AP /
@@ -194,25 +199,89 @@ def resolve_contention(mode: Optional[str] = None) -> Optional[ContentionSpec]:
 #: transmit position feeds the receiver-side capture check.
 _Flight = Tuple[float, float, str, float, float]
 
+#: A sense grid that must grow re-allocates with this much padding past
+#: the new cell, so a fleet sweeping along a loop reallocates rarely.
+_GRID_PAD = 8
+
+_MISSING = object()
+
+
+class _SenseGrid:
+    """One channel's dense grid of sensed busy horizons.
+
+    ``rows[cx - x0][cy - y0]`` is the horizon a station in cell
+    ``(cx, cy)`` senses: the max over that cell's 3x3 neighbourhood of
+    the own-cell bookings.  Booking writes the footprint, so sensing is
+    one read; reads outside the grid are idle air (0.0).  ``horizon`` is
+    the channel-wide max, which makes ``busy_until`` O(1).
+
+    Nested lists, not an array: every access is one scalar element, and
+    a list read yields a genuine Python float for ``sensed + ifs +
+    backoff``.
+    """
+
+    __slots__ = ("x0", "y0", "w", "h", "rows", "horizon")
+
+    def __init__(self, cx: int, cy: int) -> None:
+        self.x0 = cx - _GRID_PAD
+        self.y0 = cy - _GRID_PAD
+        side = 2 * _GRID_PAD + 1
+        self.w = side
+        self.h = side
+        self.rows = [[0.0] * side for _ in range(side)]
+        self.horizon = 0.0
+
+    def book(self, cx: int, cy: int, done: float) -> None:
+        """Raise the sensed horizon to ``done`` over ``(cx, cy)``'s 3x3
+        footprint."""
+        ix = cx - self.x0
+        iy = cy - self.y0
+        if not (1 <= ix < self.w - 1 and 1 <= iy < self.h - 1):
+            self._grow(cx, cy)
+            ix = cx - self.x0
+            iy = cy - self.y0
+        for row in self.rows[ix - 1 : ix + 2]:
+            if done > row[iy - 1]:
+                row[iy - 1] = done
+            if done > row[iy]:
+                row[iy] = done
+            if done > row[iy + 1]:
+                row[iy + 1] = done
+        if done > self.horizon:
+            self.horizon = done
+
+    def _grow(self, cx: int, cy: int) -> None:
+        """Reallocate to cover ``(cx, cy)`` with a 1-cell write margin."""
+        old = self.rows
+        x0 = min(self.x0, cx - _GRID_PAD)
+        y0 = min(self.y0, cy - _GRID_PAD)
+        x1 = max(self.x0 + self.w, cx + _GRID_PAD + 1)
+        y1 = max(self.y0 + self.h, cy + _GRID_PAD + 1)
+        w = x1 - x0
+        h = y1 - y0
+        rows = [[0.0] * h for _ in range(w)]
+        ox = self.x0 - x0
+        oy = self.y0 - y0
+        for i, old_row in enumerate(old):
+            rows[ox + i][oy : oy + self.h] = old_row
+        self.x0 = x0
+        self.y0 = y0
+        self.w = w
+        self.h = h
+        self.rows = rows
+
 
 class ContentionState:
     """Per-medium CSMA/CA machinery (only built when the model is on).
 
     The medium calls :meth:`acquire` instead of consulting its global
     ``_busy_until`` FIFO; everything here is keyed by the medium's own
-    ``(channel, cell)`` bins so domain work stays O(cell).
-
-    The three hot loops are isolated behind overridable hooks —
-    :meth:`_sense` / :meth:`_book` (carrier sense + booking) and
-    :meth:`_interfered` (the hidden-terminal flight scan) — so the
-    array-backed subclass in :mod:`repro.sim.contention_vec` can replace
-    the data structure per loop while :meth:`acquire` keeps one shared
-    control flow (and therefore one shared RNG-draw sequence).
+    ``(channel, cell)`` bins so domain work stays O(cell).  Carrier
+    sense reads one cell of a per-channel :class:`_SenseGrid`; the
+    hidden-terminal check (:meth:`interfered`, batched as
+    :meth:`interfered_rows`) walks one cell's flight list, screened once
+    per delivery.
     """
-
-    #: The scalar state; :class:`~repro.sim.contention_vec.ContentionVecState`
-    #: flips this so the medium/tests can report which path engaged.
-    is_vector = False
 
     def __init__(self, medium: "Medium", spec: ContentionSpec):
         self.medium = medium
@@ -222,14 +291,19 @@ class ContentionState:
         #: never touch it and stay byte-identical to the seed.
         self._rng = medium.sim.rng("medium.contention")
         self._bin_m = medium._bin_m
-        #: (channel, cx, cy) -> absolute time the cell's air frees up.
-        self._busy: Dict[Tuple[int, int, int], float] = {}
+        #: channel -> sensed-horizon grid (built on first booking).
+        self._grids: Dict[int, _SenseGrid] = {}
         #: (channel, cx, cy) -> in-flight transmissions covering the cell.
         self._inflight: Dict[Tuple[int, int, int], List[_Flight]] = {}
         #: (channel, cx, cy) -> that cell's nine neighbourhood keys, so a
         #: grant re-visiting a cell (vehicles loop the same corridor all
         #: run) reuses the tuples instead of allocating nine per booking.
         self._nbr_keys: Dict[Tuple[int, int, int], Tuple] = {}
+        #: One delivery's screened flights: ``_scan_key`` identifies the
+        #: delivery, ``_scan_cells`` maps receiver cells to the positions
+        #: of their foreign overlapping flights (None for a clean cell).
+        self._scan_key: Optional[Tuple[int, str, float, float]] = None
+        self._scan_cells: Dict[Tuple[int, int], Optional[List]] = {}
         #: Per-sender contention window (absent -> ``cw_min``).
         self._cw: Dict[str, int] = {}
         # Hot-path caches: ``acquire`` runs a few hundred thousand times
@@ -249,10 +323,6 @@ class ContentionState:
         #: Largest airtime granted so far; bounds how long a finished
         #: flight can still matter to a pending delivery's overlap check.
         self._max_airtime = 0.0
-        #: channel -> latest ``done`` ever booked (running max).  Cell
-        #: busy horizons only ever move forward, so the per-channel max
-        #: is exact without scanning cells — ``busy_until`` is O(1).
-        self._chan_horizon: Dict[int, float] = {}
         # -- deterministic accounting (pure functions of the sim) --------
         self.grants = 0
         self.deferrals = 0
@@ -265,10 +335,9 @@ class ContentionState:
         self._obs_deferrals = tele.counter("contention.deferrals")
         self._obs_collisions = tele.counter("contention.collisions")
         # Per-phase dispatch counters (deterministic — pure functions of
-        # the event sequence, so the scalar/vector byte-identity gates
-        # cover them) plus wall-clock twins in the same style as the
-        # engine's profiling twin loop: ``contention.wall.*`` attribute
-        # contended wall time per phase and are flagged
+        # the event sequence) plus wall-clock twins in the same style as
+        # the engine's profiling twin loop: ``contention.wall.*``
+        # attribute contended wall time per phase and are flagged
         # ``deterministic=False`` so they never leak into the
         # deterministic snapshot projection.
         self._obs_sense = tele.counter("contention.sense")
@@ -282,9 +351,9 @@ class ContentionState:
         )
         if not self._profile:
             # Telemetry off: the instrumented wrapper would only forward
-            # to the hook, so bind the hook directly (one frame fewer on
-            # a call that runs once per survivor per delivery).
-            self.interfered = self._interfered  # type: ignore[method-assign]
+            # to the scan, so bind the scan directly (one frame fewer on
+            # a call that runs once per receiver per delivery).
+            self.interfered = self._scan  # type: ignore[method-assign]
 
     # ------------------------------------------------------------------
     def acquire(
@@ -315,7 +384,7 @@ class ContentionState:
         bin_m = self._bin_m
         cx = int(x // bin_m)
         cy = int(y // bin_m)
-        sensed = self._sense(channel, cx, cy)
+        sensed = self.sense(channel, cx, cy)
         if priority:
             ifs = self._pifs_s
             cw = self._cw_mgmt
@@ -357,7 +426,16 @@ class ContentionState:
         done = start + airtime
         if airtime > self._max_airtime:
             self._max_airtime = airtime
-        self._book(channel, cx, cy, done)
+        # Book the sender's *own* cell; the grid spreads it to the 3x3
+        # neighbourhood that senses it.  Booking all nine cells as if each
+        # had sent would charge every frame's airtime to nine cells at
+        # once, and the coupled horizons then grow without bound under
+        # beacon load (deferred sends re-extend their neighbours,
+        # dominoing into worse-than-global serialization).
+        grid = self._grids.get(channel)
+        if grid is None:
+            grid = self._grids[channel] = _SenseGrid(cx, cy)
+        grid.book(cx, cy, done)
         flight: _Flight = (start, done, sender_id, x, y)
         inflight = self._inflight
         # Flights must outlive their own delivery events: an overlap is
@@ -400,10 +478,9 @@ class ContentionState:
             self._wall_sense.inc(perf_counter() - t0)
         return True, start, done
 
-    # -- carrier-sense hooks (overridden by the array-backed state) ----
-    def _sense(self, channel: int, cx: int, cy: int) -> float:
+    def sense(self, channel: int, cx: int, cy: int) -> float:
         """Busy horizon sensed from cell ``(cx, cy)``: the max over its
-        3x3 neighbourhood.
+        3x3 neighbourhood's bookings.
 
         Carrier sense covers the whole neighbourhood — 802.11's sense
         range exceeds its data range, so a station hears (and defers to)
@@ -411,32 +488,16 @@ class ContentionState:
         nearby receiver from one-cell-away interferers; only true hidden
         terminals (two or more cells out) remain.
         """
-        busy = self._busy
-        sensed = 0.0
-        for nx in (cx - 1, cx, cx + 1):
-            for ny in (cy - 1, cy, cy + 1):
-                t = busy.get((channel, nx, ny), 0.0)
-                if t > sensed:
-                    sensed = t
-        return sensed
+        grid = self._grids.get(channel)
+        if grid is None:
+            return 0.0
+        ix = cx - grid.x0
+        iy = cy - grid.y0
+        if 0 <= ix < grid.w and 0 <= iy < grid.h:
+            return grid.rows[ix][iy]
+        return 0.0
 
-    def _book(self, channel: int, cx: int, cy: int, done: float) -> None:
-        """Busy-mark the sender's *own* cell until ``done``.
-
-        Neighbours already hear the transmission through the 3x3 sense
-        scan.  Marking the whole footprint instead would charge every
-        frame's airtime to nine cells at once, and the coupled busy
-        horizons then grow without bound under beacon load (deferred
-        sends re-extend their neighbours, dominoing into worse-than-
-        global serialization).
-        """
-        own = (channel, cx, cy)
-        busy = self._busy
-        if busy.get(own, 0.0) < done:
-            busy[own] = done
-        if done > self._chan_horizon.get(channel, 0.0):
-            self._chan_horizon[channel] = done
-
+    # -- hidden-terminal scan ------------------------------------------
     def interfered(
         self,
         sender_id: str,
@@ -455,47 +516,13 @@ class ContentionState:
         ``capture_ratio`` times the wanted sender's distance — a receiver
         near its sender decodes straight through a far-off interferer.
         """
-        if not self._profile:
-            return self._interfered(
-                sender_id, channel, rx, ry, start, done, sender_distance
-            )
         self._obs_collision_scan.inc()
         t0 = perf_counter()
-        hit = self._interfered(
-            sender_id, channel, rx, ry, start, done, sender_distance
-        )
+        hit = self._scan(sender_id, channel, rx, ry, start, done, sender_distance)
         self._wall_collision_scan.inc(perf_counter() - t0)
         return hit
 
-    def interfered_rows(
-        self,
-        sender_id: str,
-        channel: int,
-        rows: List[Tuple],
-        start: float,
-        done: float,
-    ) -> List[bool]:
-        """Per-survivor interference flags for one delivery.
-
-        ``rows`` are the medium's survivor 7-tuples ``(seq, station,
-        rssi, ignores_beacons, rx, ry, distance)``; the result holds
-        :meth:`interfered` evaluated for each, in order.  One call per
-        delivery lets the array-backed state amortize its per-delivery
-        screening; with telemetry on, both states route through
-        :meth:`interfered` so the deterministic ``contention.
-        collision_scan`` counter advances once per survivor exactly as
-        the scalar delivery scan does.
-        """
-        if self._profile:
-            interfered = self.interfered
-        else:
-            interfered = self._interfered
-        return [
-            interfered(sender_id, channel, row[4], row[5], start, done, row[6])
-            for row in rows
-        ]
-
-    def _interfered(
+    def _scan(
         self,
         sender_id: str,
         channel: int,
@@ -505,22 +532,121 @@ class ContentionState:
         done: float,
         sender_distance: float,
     ) -> bool:
-        """The flight scan behind :meth:`interfered` (overridable)."""
+        """The uninstrumented check behind :meth:`interfered`."""
+        key = (channel, sender_id, start, done)
+        if key != self._scan_key:
+            self._scan_key = key
+            self._scan_cells = {}
         bin_m = self._bin_m
-        flights = self._inflight.get((channel, int(rx // bin_m), int(ry // bin_m)))
-        if not flights:
+        cell = (int(rx // bin_m), int(ry // bin_m))
+        pts = self._scan_cells.get(cell, _MISSING)
+        if pts is _MISSING:
+            pts = self._scan_cells[cell] = self._screen_cell(
+                (channel, cell[0], cell[1]), sender_id, start, done
+            )
+        if pts is None:
             return False
         reach = min(self.medium.range_m, self.spec.capture_ratio * sender_distance)
         hypot = math.hypot
-        for f_start, f_end, f_sender, f_x, f_y in flights:
-            if (
-                f_sender != sender_id
-                and f_start < done
-                and start < f_end
-                and hypot(rx - f_x, ry - f_y) <= reach
-            ):
+        for f_x, f_y in pts:
+            if hypot(rx - f_x, ry - f_y) <= reach:
                 return True
         return False
+
+    def interfered_rows(
+        self,
+        sender_id: str,
+        channel: int,
+        rows: List[Tuple],
+        start: float,
+        done: float,
+    ) -> List[bool]:
+        """Per-receiver interference flags for one delivery.
+
+        ``rows`` are the medium's survivor 7-tuples ``(seq, station,
+        rssi, ignores_beacons, rx, ry, distance)``; the result holds
+        :meth:`interfered` evaluated for each, in order.  Flags consume no
+        randomness, so evaluating them up front instead of inside the
+        delivery loop cannot perturb a draw stream.  With telemetry on,
+        each row goes through :meth:`interfered` so the deterministic
+        ``contention.collision_scan`` counter advances once per receiver.
+        """
+        if self._profile:
+            interfered = self.interfered
+            return [
+                interfered(sender_id, channel, row[4], row[5], start, done, row[6])
+                for row in rows
+            ]
+        key = (channel, sender_id, start, done)
+        if key != self._scan_key:
+            self._scan_key = key
+            self._scan_cells = {}
+        cells = self._scan_cells
+        bin_m = self._bin_m
+        range_m = self.medium.range_m
+        ratio = self.spec.capture_ratio
+        hypot = math.hypot
+        screen = self._screen_cell
+        flags = []
+        append = flags.append
+        # Receivers arrive in registration order, so spatial neighbours
+        # (co-located AP radios, a vehicle's own NICs) are adjacent; the
+        # one-entry memo skips the dict round-trip for those runs.
+        last_x = last_y = None
+        pts = None
+        for row in rows:
+            rx = row[4]
+            ry = row[5]
+            cell_x = int(rx // bin_m)
+            cell_y = int(ry // bin_m)
+            if cell_x != last_x or cell_y != last_y:
+                last_x = cell_x
+                last_y = cell_y
+                cell = (cell_x, cell_y)
+                pts = cells.get(cell, _MISSING)
+                if pts is _MISSING:
+                    pts = cells[cell] = screen(
+                        (channel, cell_x, cell_y), sender_id, start, done
+                    )
+            if pts is None:
+                append(False)
+                continue
+            capture = ratio * row[6]
+            reach = range_m if capture > range_m else capture
+            hit = False
+            for f_x, f_y in pts:
+                if hypot(rx - f_x, ry - f_y) <= reach:
+                    hit = True
+                    break
+            append(hit)
+        return flags
+
+    def _screen_cell(
+        self,
+        key: Tuple[int, int, int],
+        sender_id: str,
+        start: float,
+        done: float,
+    ) -> Optional[List[Tuple[float, float]]]:
+        """Positions of ``key``'s foreign flights overlapping ``[start,
+        done)``, in recording order, or None for a clean cell.
+
+        Caching the result for the rest of the delivery is safe: a flight
+        booked *during* the delivery (a receiver's ``on_frame``
+        transmitting synchronously) starts at ``now + ifs + backoff >=
+        now``, while the delivery being scanned ended at ``done = now -
+        propagation delay < now`` — the new flight can never satisfy
+        ``f_start < done``.
+        """
+        flights = self._inflight.get(key)
+        if not flights:
+            return None
+        pts = [
+            (f_x, f_y)
+            for f_start, f_end, f_sender, f_x, f_y in flights
+            if f_sender != sender_id and f_start < done and start < f_end
+        ]
+        return pts or None
 
     def note_collision(self, sender_id: str, frame_failed: bool) -> None:
         """Record that a frame lost at least one receiver to interference.
@@ -542,12 +668,12 @@ class ContentionState:
     def busy_until(self, channel: int) -> float:
         """Latest busy horizon over every cell of ``channel`` (diagnosis).
 
-        O(1): cell horizons only move forward, so a running per-channel
-        max maintained at booking time is exact — telemetry exports
-        (``medium.backlog_s`` samples every channel) must never pay an
-        O(cells) scan of ``_busy``.
+        O(1): the grid keeps a running per-channel max at booking time,
+        so telemetry exports (``medium.backlog_s`` samples every channel)
+        never pay an O(cells) scan.
         """
-        return self._chan_horizon.get(channel, 0.0)
+        grid = self._grids.get(channel)
+        return grid.horizon if grid is not None else 0.0
 
     def collision_rate(self) -> float:
         """Collided fraction of all granted transmissions."""

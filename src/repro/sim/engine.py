@@ -116,10 +116,6 @@ class Simulator:
         self._live = 0
         self._cancelled_in_queue = 0
         self.compactions = 0
-        # Bound of the innermost active run(); +inf outside run().  Event
-        # batchers (the medium's per-channel drain) must not warp the clock
-        # past it, or frames due after ``until`` would be delivered early.
-        self._run_until = math.inf
 
     # ------------------------------------------------------------------
     # Random streams
@@ -215,7 +211,6 @@ class Simulator:
             raise RuntimeError("simulator is already running (re-entrant run())")
         self._running = True
         budget = math.inf if max_events is None else max_events
-        self._run_until = until
         # Local aliases shave attribute lookups off the per-event cost;
         # _compact() mutates the queue list in place, so the alias survives
         # mid-run compactions.
@@ -223,9 +218,8 @@ class Simulator:
         heappop = heapq.heappop
         # Dispatch counters accumulate locally and flush in the finally
         # block: nothing reads events_processed or pending_events() from
-        # inside a callback (count_logical_event's attribute increments
-        # commute with the deferred flush), and two read-modify-write
-        # attribute round-trips per event are measurable at city scale.
+        # inside a callback, and two read-modify-write attribute
+        # round-trips per event are measurable at city scale.
         dispatched = 0
         try:
             if self.telemetry.enabled:
@@ -272,7 +266,6 @@ class Simulator:
             self._live -= dispatched
             self.events_processed += dispatched
             self._running = False
-            self._run_until = math.inf
 
     def _run_profiled(self, until: float, budget: float) -> None:
         """The telemetry-enabled twin of ``run()``'s hot loop.
@@ -331,10 +324,10 @@ class Simulator:
         finally:
             wall_s = perf_counter() - wall_start
             tele = self.telemetry
-            # "engine.events" counts *logical* events (dispatched + frames
-            # folded into batched drains via count_logical_event) so it
-            # reconciles exactly with Simulator.events_processed;
-            # "engine.dispatched" is the subset that went through the loop.
+            # "engine.events" reconciles exactly with
+            # Simulator.events_processed; "engine.dispatched" counts the
+            # events this loop ran.  Every event is dispatched, so the two
+            # agree.
             tele.counter("engine.events").inc(
                 self.events_processed - processed_at_entry
             )
@@ -355,56 +348,6 @@ class Simulator:
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events still queued (O(1))."""
         return self._live
-
-    # ------------------------------------------------------------------
-    # Event-horizon introspection (used by batched delivery)
-    # ------------------------------------------------------------------
-    def peek_next_event_time(self) -> float:
-        """Time of the next live event, or +inf with an empty queue.
-
-        Cancelled entries at the top of the heap are popped as a side
-        effect (they would be skipped by ``run`` anyway), so the returned
-        time always belongs to an event that will actually fire.  Together
-        with :meth:`run_until_bound` this defines the *event horizon*: the
-        span of simulated time in which no callback can observe or change
-        state, which is what makes it safe for the wireless medium to
-        deliver a run of queued frames from a single engine event.
-        """
-        queue = self._queue
-        while queue:
-            entry = queue[0]
-            handle = entry[2]
-            if handle is not None and handle.cancelled:
-                heapq.heappop(queue)
-                self._cancelled_in_queue -= 1
-                continue
-            return entry[0]
-        return math.inf
-
-    def run_until_bound(self) -> float:
-        """The ``until`` bound of the active run (+inf outside ``run``)."""
-        return self._run_until
-
-    def advance_clock(self, time: float) -> None:
-        """Warp ``now`` forward within the current event horizon.
-
-        Callers (the medium's drain loop) must only pass times that are
-        ``<= min(peek_next_event_time(), run_until_bound())``; anything
-        later would reorder the warped work against real events.
-        """
-        if time < self.now:
-            raise ValueError(f"cannot warp backwards: {time} < {self.now}")
-        self.now = time
-
-    def count_logical_event(self) -> None:
-        """Count one unit of work folded into a batched engine event.
-
-        Batched delivery replaces N per-frame engine events with one drain
-        dispatch; crediting the N-1 folded frames keeps ``events_processed``
-        meaning "logical simulation events" so the figure stays comparable
-        across batched and unbatched runs (and across PRs).
-        """
-        self.events_processed += 1
 
 
 class PeriodicProcess:

@@ -47,16 +47,11 @@ __all__ = [
     "Station",
     "Medium",
     "rssi_from_distance",
-    "BATCH_ENV",
     "VECTOR_ENV",
     "BACKLOG_WARN_S",
 ]
 
 logger = logging.getLogger(__name__)
-
-#: Environment variable disabling per-channel delivery batching when set to
-#: ``0``/``off``/``false`` (useful for A/B determinism tests and bisection).
-BATCH_ENV = "REPRO_MEDIUM_BATCH"
 
 #: Environment variable disabling the numpy-backed delivery index (see
 #: :mod:`repro.sim.medium_vec`) when set to ``0``/``off``/``false``.  The
@@ -64,11 +59,6 @@ BATCH_ENV = "REPRO_MEDIUM_BATCH"
 #: determinism tests, bisection, and perf comparisons — and the medium
 #: falls back to the scalar scan on its own when numpy is not installed.
 VECTOR_ENV = "REPRO_MEDIUM_VECTOR"
-
-
-def _batching_enabled_from_env() -> bool:
-    value = os.environ.get(BATCH_ENV, "").strip().lower()
-    return value not in ("0", "off", "false", "no")
 
 
 def _vector_enabled_from_env() -> bool:
@@ -168,10 +158,8 @@ class Medium:
         data_rate_bps: float = 11e6,
         range_m: float = 100.0,
         loss_rate: float = 0.1,
-        batch_delivery: Optional[bool] = None,
         vector_delivery: Optional[bool] = None,
         contention: Optional[ContentionSpec] = None,
-        contention_vector: Optional[bool] = None,
     ):
         # ``isfinite`` guards are explicit: ``nan`` slips through plain
         # ``<=`` comparisons (every comparison with nan is False) and
@@ -193,6 +181,9 @@ class Medium:
         self._stations: Dict[str, Station] = {}
         self._busy_until: Dict[int, float] = {}
         self._rng = sim.rng("medium.loss")
+        # Optional bursty-loss override (Gilbert–Elliott chain installed by
+        # the fault injector).  None means the i.i.d. ``loss_rate`` applies.
+        self._bursty = None
         # Delivery-path index.  Static stations (APs: fixed position, fixed
         # channel) are binned by (channel, cell) with cell edge = range_m,
         # so any in-range static receiver is in the 3x3 neighbourhood of
@@ -200,10 +191,8 @@ class Medium:
         # hundreds of APs) are kept in a flat dict and always probed.
         # ``_reg_seq`` preserves registration order: candidates are visited
         # in that order so loss draws and callbacks consume randomness
-        # exactly as the un-indexed implementation did.
-        # Optional bursty-loss override (Gilbert–Elliott chain installed by
-        # the fault injector).  None means the i.i.d. ``loss_rate`` applies.
-        self._bursty = None
+        # exactly as the un-indexed implementation did.  Each transmitted
+        # frame is delivered by its own engine event at completion time.
         self._bin_m = max(range_m, 1.0)
         self._static_bins: Dict[Tuple[int, int, int], List[Station]] = {}
         self._static_where: Dict[str, Tuple[int, int, int]] = {}
@@ -215,21 +204,6 @@ class Medium:
         # is membership-only.  Cache them and invalidate on (un)register so
         # the delivery hot path skips the 3x3 bin walk and the sort.
         self._cand_cache: Dict[Tuple[int, int, int], List[Station]] = {}
-        # Frame-event batching: instead of one engine event per frame, each
-        # channel keeps a FIFO of (deliver_time, sender_id, frame) and a
-        # single in-flight drain event.  The drain delivers every queued
-        # frame that falls inside the current event horizon (see
-        # Simulator.peek_next_event_time) by warping the clock to each
-        # frame's true completion time, so back-to-back bursts on a busy
-        # channel cost one engine event instead of one per frame while
-        # remaining byte-identical to per-frame scheduling.
-        if batch_delivery is None:
-            batch_delivery = _batching_enabled_from_env()
-        self.batch_delivery = bool(batch_delivery)
-        # Per-channel [pending deque of (deliver_time, sender_id, frame),
-        # drain-event-in-flight flag] — one dict lookup on the transmit
-        # hot path covers both.
-        self._chan_state: Dict[int, List] = {}
         #: Optional observers called as fn(frame, receiver_id) on delivery.
         self.delivery_hooks: List[Callable[[Frame, str], None]] = []
         self.frames_sent = 0
@@ -277,28 +251,11 @@ class Medium:
         # repro.sim.contention).  Built last: the state machine reuses the
         # spatial binning configured above.  ``None`` and a disabled spec
         # are byte-identical — the state (and its dedicated RNG stream)
-        # only exists when the model is actually on.  The array-backed
-        # state (repro.sim.contention_vec) is picked unless
-        # REPRO_CONTENTION_VECTOR (or the explicit ``contention_vector``
-        # argument) pins the scalar one; like the delivery index, the
-        # fallback counter is created unconditionally and flagged
-        # nondeterministic (it reflects installed packages, not the seed).
-        self._obs_contention_fallbacks = sim.telemetry.counter(
-            "contention.vector_fallbacks", deterministic=False
-        )
+        # only exists when the model is actually on.
         self.contention_spec = contention
         self.contention: Optional[ContentionState] = None
-        self.vector_contention = False
         if contention is not None and contention.enabled:
-            from .contention_vec import make_contention_state
-
-            state, fell_back = make_contention_state(
-                self, contention, contention_vector
-            )
-            if fell_back:
-                self._obs_contention_fallbacks.inc()
-            self.contention = state
-            self.vector_contention = state.is_vector
+            self.contention = ContentionState(self, contention)
         #: Frames destroyed by hidden-terminal collisions (contention mode
         #: only; mirrored by the ``contention.collisions`` obs counter).
         self.frames_collided = 0
@@ -489,12 +446,10 @@ class Medium:
 
         With contention enabled, serialization is per carrier-sense cell
         instead of global: the frame contends via CSMA/CA (DIFS + slotted
-        backoff), may collide with hidden terminals, and is scheduled as
-        its own engine event — concurrent cells complete out of FIFO
-        order, which the per-channel drain queue cannot represent.  The
-        completion time is then unknowable at transmit time (it depends
-        on future backoff draws and queue preemption), so the return
-        value is only a lower-bound *estimate* — do not pace off it.
+        backoff), and may collide with hidden terminals.  The completion
+        time is then unknowable at transmit time (it depends on future
+        backoff draws and queue preemption), so the return value is only
+        a lower-bound *estimate* — do not pace off it.
         """
         now = self.sim.now
         channel = frame.channel
@@ -552,58 +507,10 @@ class Medium:
         self.frames_sent += 1
         if start > now:
             self._note_backlog(channel, start - now)
-        deliver_at = done + PROPAGATION_DELAY_S
-        if not self.batch_delivery:
-            self.sim.schedule_fire(deliver_at, self._deliver, sender.station_id, frame)
-            return done
-        state = self._chan_state.get(channel)
-        if state is None:
-            state = self._chan_state[channel] = [deque(), False]
-        state[0].append((deliver_at, sender.station_id, frame))
-        if not state[1]:
-            # The drain event is scheduled eagerly at transmit time so its
-            # heap position (and hence same-instant tie-breaking) matches
-            # the per-frame event the unbatched path would have created.
-            state[1] = True
-            self.sim.schedule_fire(deliver_at, self._drain, channel)
+        self.sim.schedule_fire(
+            done + PROPAGATION_DELAY_S, self._deliver, sender.station_id, frame
+        )
         return done
-
-    def _drain(self, channel: int) -> None:
-        """Deliver queued frames for ``channel`` up to the event horizon.
-
-        Frames are delivered strictly in completion-time order with the
-        clock warped to each frame's own arrival time, so receivers observe
-        positions, tuned channels, and timestamps exactly as they would
-        under per-frame scheduling.  The loop stops at the first frame due
-        beyond the horizon — the next live engine event or the active
-        ``run(until=...)`` bound — because state may change there; a
-        follow-up drain is scheduled for that frame instead.
-        """
-        state = self._chan_state[channel]
-        pending = state[0]
-        sim = self.sim
-        first = True
-        while pending:
-            deliver_at = pending[0][0]
-            if deliver_at > sim.now:
-                # The horizon is re-read every iteration: a delivery's
-                # callbacks may have scheduled new events inside the span
-                # we measured before.
-                horizon = sim.peek_next_event_time()
-                bound = sim.run_until_bound()
-                if bound < horizon:
-                    horizon = bound
-                if deliver_at > horizon:
-                    sim.schedule_fire(deliver_at, self._drain, channel)
-                    return
-                sim.advance_clock(deliver_at)
-            _, sender_id, frame = pending.popleft()
-            if first:
-                first = False  # the dispatching engine event counted itself
-            else:
-                sim.count_logical_event()
-            self._deliver(sender_id, frame)
-        state[1] = False
 
     def _transmit_contended(
         self,

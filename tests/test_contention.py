@@ -55,19 +55,9 @@ def mgmt_frame(src, dst, channel=1, kind=FrameKind.AUTH_REQUEST, size=80):
     return Frame(kind=kind, src=src, dst=dst, size=size, channel=channel)
 
 
-def contended_medium(sim, spec=None, loss_rate=0.0, contention_vector=None):
-    """A contended medium on whichever contention state the env picks.
-
-    The suite runs unchanged against the scalar and array-backed states
-    (CI's ``tier1-scalar`` job pins ``REPRO_CONTENTION_VECTOR=0``); tests
-    that poke scalar internals pin ``contention_vector=False``.
-    """
-    return Medium(
-        sim,
-        loss_rate=loss_rate,
-        contention=spec or ContentionSpec(),
-        contention_vector=contention_vector,
-    )
+def contended_medium(sim, spec=None, loss_rate=0.0):
+    """A medium running the CSMA/CA contention model."""
+    return Medium(sim, loss_rate=loss_rate, contention=spec or ContentionSpec())
 
 
 @pytest.fixture
@@ -186,7 +176,7 @@ class TestCarrierSense:
         assert len(ra.received) == 1 and len(rb.received) == 1
 
     def test_adjacent_cell_sensed_but_only_own_cell_marked(self, sim):
-        medium = contended_medium(sim, contention_vector=False)
+        medium = contended_medium(sim)
         state = medium.contention
         granted, start, done = state.acquire("a", 1, 50.0, 0.0, 0.01)
         assert granted
@@ -194,21 +184,22 @@ class TestCarrierSense:
         granted2, retry_at, _ = state.acquire("b", 1, 150.0, 0.0, 0.01)
         assert not granted2
         assert retry_at >= done
-        # ...but only the sender's own cell carries the busy horizon.
-        assert state._busy.get((1, 0, 0), 0.0) == done
-        assert (1, 1, 0) not in state._busy
+        # ...but only the sender's own cell carries the busy horizon: had
+        # the deferred neighbour (or the whole footprint) been marked, a
+        # sender two cells from "a" would hear it too.
+        granted3, _, _ = state.acquire("c", 1, 250.0, 0.0, 0.01)
+        assert granted3
 
     def test_sense_matches_scalar_neighbourhood_semantics(self, sim):
-        # Same sensed horizons on whichever state the env picked: a
-        # booking is heard one cell away but not two.
+        # A booking is heard one cell away but not two.
         medium = contended_medium(sim)
         state = medium.contention
         granted, _start, done = state.acquire("a", 1, 50.0, 0.0, 0.01)
         assert granted
-        assert state._sense(1, 1, 0) == done  # neighbour cell hears it
-        assert state._sense(1, 0, 0) == done  # own cell too
-        assert state._sense(1, 2, 0) == 0.0  # two cells out: idle air
-        assert state._sense(6, 0, 0) == 0.0  # other channel: idle air
+        assert state.sense(1, 1, 0) == done  # neighbour cell hears it
+        assert state.sense(1, 0, 0) == done  # own cell too
+        assert state.sense(1, 2, 0) == 0.0  # two cells out: idle air
+        assert state.sense(6, 0, 0) == 0.0  # other channel: idle air
 
 
 class TestHiddenTerminals:
@@ -367,7 +358,7 @@ class TestNicQueue:
         # 1 ms slots stretch data backoff well past the mgmt frame's
         # turnaround; cw_mgmt=1 makes the mgmt grant time deterministic.
         spec = ContentionSpec(slot_time_s=1e-3, cw_mgmt=1)
-        medium = contended_medium(sim, spec=spec, contention_vector=False)
+        medium = contended_medium(sim, spec=spec)
         p = FakeStation("p", x=250.0)  # two cells away: hidden from cell 0
         o = FakeStation("o", x=10.0)
         a = FakeStation("a", x=12.0)
@@ -377,8 +368,7 @@ class TestNicQueue:
         # A long foreign flight occupies the far cell for ~0.5 s...
         medium.transmit(p, data_frame("p", "pz", size=700000))
         # ...while o holds the near cell, so a's data head defers there.
-        medium.transmit(o, data_frame("o", "orx", size=5500))
-        t1 = medium.contention._busy[(1, 0, 0)]  # o's flight end
+        t1 = medium.transmit(o, data_frame("o", "orx", size=5500))  # o's flight end
         d = data_frame("a", "rx", size=500)
         medium.transmit(a, d)
         # The handshake preempts the deferring head: d re-queues, and the
@@ -580,3 +570,409 @@ class TestContentionOffIsInert:
         sim2 = Simulator(seed=9)
         Medium(sim2, contention=ContentionSpec())
         assert "medium.contention" in sim2._streams
+
+
+# ----------------------------------------------------------------------
+# Reference oracle: the state's sense grid and per-delivery screen cache
+# must answer exactly what the plain dict walk and linear flight walk do.
+
+
+class DictWalkOracle:
+    """Reference carrier sense and hidden-terminal scan for one state.
+
+    Bookings are kept per *own* cell; a sense takes the max over the 3x3
+    neighbourhood (nine dict reads), and an interference check walks the
+    receiver cell's flight list linearly with the exact predicates.  The
+    flights are read from the state's ``_inflight`` at call time, so the
+    oracle checks the grid and the screen cache, not flight bookkeeping.
+    """
+
+    def __init__(self, state):
+        self.state = state
+        self.busy = {}
+
+    def book(self, channel, cx, cy, done):
+        key = (channel, cx, cy)
+        if self.busy.get(key, 0.0) < done:
+            self.busy[key] = done
+
+    def sense(self, channel, cx, cy):
+        return max(
+            self.busy.get((channel, nx, ny), 0.0)
+            for nx in (cx - 1, cx, cx + 1)
+            for ny in (cy - 1, cy, cy + 1)
+        )
+
+    def busy_until(self, channel):
+        return max((t for (c, _, _), t in self.busy.items() if c == channel), default=0.0)
+
+    def interfered(self, sender_id, channel, rx, ry, start, done, sender_distance):
+        state = self.state
+        bin_m = state._bin_m
+        flights = state._inflight.get((channel, int(rx // bin_m), int(ry // bin_m)), ())
+        reach = min(state.medium.range_m, state.spec.capture_ratio * sender_distance)
+        for f_start, f_end, f_sender, f_x, f_y in flights:
+            if (
+                f_sender != sender_id
+                and f_start < done
+                and start < f_end
+                and math.hypot(rx - f_x, ry - f_y) <= reach
+            ):
+                return True
+        return False
+
+
+@pytest.fixture
+def oracle_checked(monkeypatch):
+    """Check every contention state built in the test against its oracle.
+
+    Each acquire's sense and each interference flag (single or batched)
+    is compared with :class:`DictWalkOracle`; grants are mirrored into
+    the oracle's bookings.  Yields a tally of what was checked.
+    """
+    acquire = ContentionState.acquire
+    scan = ContentionState._scan
+    rows_of = ContentionState.interfered_rows
+    oracles = {}
+    tally = {"acquires": 0, "deferrals": 0, "scans": 0, "hits": 0}
+
+    def oracle_of(state):
+        if id(state) not in oracles:
+            oracles[id(state)] = (state, DictWalkOracle(state))
+        return oracles[id(state)][1]
+
+    def checked_acquire(self, sender_id, channel, x, y, airtime, priority=False):
+        oracle = oracle_of(self)
+        cx, cy = int(x // self._bin_m), int(y // self._bin_m)
+        assert self.sense(channel, cx, cy) == oracle.sense(channel, cx, cy)
+        granted, a, b = acquire(self, sender_id, channel, x, y, airtime, priority)
+        assert granted == (oracle.sense(channel, cx, cy) <= self.sim.now)
+        if granted:
+            oracle.book(channel, cx, cy, b)
+        else:
+            tally["deferrals"] += 1
+        assert self.busy_until(channel) == oracle.busy_until(channel)
+        tally["acquires"] += 1
+        return granted, a, b
+
+    def checked_scan(self, sender_id, channel, rx, ry, start, done, distance):
+        hit = scan(self, sender_id, channel, rx, ry, start, done, distance)
+        expected = oracle_of(self).interfered(
+            sender_id, channel, rx, ry, start, done, distance
+        )
+        assert hit == expected, (sender_id, rx, ry, start, done, distance)
+        tally["scans"] += 1
+        tally["hits"] += hit
+        return hit
+
+    def checked_rows(self, sender_id, channel, rows, start, done):
+        flags = rows_of(self, sender_id, channel, rows, start, done)
+        oracle = oracle_of(self)
+        assert list(flags) == [
+            oracle.interfered(sender_id, channel, r[4], r[5], start, done, r[6])
+            for r in rows
+        ]
+        tally["scans"] += len(rows)
+        tally["hits"] += sum(flags)
+        return flags
+
+    monkeypatch.setattr(ContentionState, "acquire", checked_acquire)
+    monkeypatch.setattr(ContentionState, "_scan", checked_scan)
+    monkeypatch.setattr(ContentionState, "interfered_rows", checked_rows)
+    yield tally
+
+
+def _state(seed=3):
+    return contended_medium(Simulator(seed=seed)).contention
+
+
+class TestSenseGrid:
+    def test_booked_neighbourhood_matches_oracle(self):
+        state = _state()
+        oracle = DictWalkOracle(state)
+        bookings = [(1, 50.0, 0.0, 0.011), (1, 350.0, 0.0, 0.007), (6, 50.0, 0.0, 0.02)]
+        for channel, x, y, airtime in bookings:
+            granted, _start, done = state.acquire("s", channel, x, y, airtime)
+            assert granted
+            oracle.book(channel, int(x // 100.0), int(y // 100.0), done)
+        for channel in (1, 6, 11):
+            for cx in range(-2, 8):
+                for cy in range(-2, 3):
+                    assert state.sense(channel, cx, cy) == oracle.sense(
+                        channel, cx, cy
+                    ), (channel, cx, cy)
+
+    def test_grid_growth_preserves_bookings(self):
+        state = _state()
+        # Book far apart so the channel grid must regrow, then re-sense
+        # the original cell: growth must preserve the propagated max.
+        granted, _, done_a = state.acquire("a", 1, 0.0, 0.0, 0.01)
+        assert granted
+        granted, _, done_b = state.acquire("b", 1, 5000.0, 5000.0, 0.02)
+        assert granted
+        assert state.sense(1, 0, 0) == done_a
+        assert state.sense(1, 50, 50) == done_b
+        assert state.busy_until(1) == max(done_a, done_b)
+
+    def test_sense_returns_python_floats(self):
+        state = _state()
+        state.acquire("a", 1, 0.0, 0.0, 0.01)
+        assert type(state.sense(1, 0, 0)) is float
+        assert type(state.sense(1, 40, 40)) is float  # outside the grid
+
+
+class TestInterferenceScan:
+    """Hand-built flight lists: the cached scan agrees with the linear walk,
+    including exactly on the capture boundary."""
+
+    def _state(self, flights):
+        state = _state(seed=5)
+        for cell, cell_flights in flights.items():
+            state._inflight[cell] = list(cell_flights)
+        return state
+
+    def _check(self, state, sender_id, channel, rx, ry, start, done, distance):
+        hit = state.interfered(sender_id, channel, rx, ry, start, done, distance)
+        oracle = DictWalkOracle(state)
+        assert hit == oracle.interfered(sender_id, channel, rx, ry, start, done, distance)
+        state._scan_key = None  # the batched path screens afresh
+        row = (0, None, -50.0, False, rx, ry, distance)
+        assert state.interfered_rows(sender_id, channel, [row], start, done) == [hit]
+        return hit
+
+    def test_exact_capture_boundary(self):
+        # Sender 30 m out: capture bound = min(100, 2.5 * 30) = 75 m.
+        # An interferer at exactly 75 m is inside (<=); at the next float
+        # out it is not.
+        state = self._state({(1, 0, 0): [(0.0, 0.001, "far", 75.0, 0.0)]})
+        assert self._check(state, "s", 1, 0.0, 0.0, 0.0, 0.0005, 30.0) is True
+        state = self._state(
+            {(1, 0, 0): [(0.0, 0.001, "far", math.nextafter(75.0, 100.0), 0.0)]}
+        )
+        assert self._check(state, "s", 1, 0.0, 0.0, 0.0, 0.0005, 30.0) is False
+
+    def test_colocated_sender_zero_capture(self):
+        # Receiver on top of its sender: capture bound collapses to 0 —
+        # only an interferer at the exact same point can wipe it.
+        state = self._state({(1, 0, 0): [(0.0, 0.001, "far", 10.0, 20.0)]})
+        assert self._check(state, "s", 1, 10.0, 20.0, 0.0, 0.0005, 0.0) is True
+        state = self._state({(1, 0, 0): [(0.0, 0.001, "far", 10.0 + 1e-9, 20.0)]})
+        assert self._check(state, "s", 1, 10.0, 20.0, 0.0, 0.0005, 0.0) is False
+
+    def test_own_flights_and_nonoverlapping_windows_ignored(self):
+        flights = [
+            (0.0, 0.001, "s", 1.0, 0.0),  # own transmission
+            (0.002, 0.003, "far", 1.0, 0.0),  # starts after done
+            (-0.002, -0.001, "far", 1.0, 0.0),  # ended before start
+        ]
+        state = self._state({(1, 0, 0): flights})
+        assert self._check(state, "s", 1, 0.0, 0.0, 0.0, 0.0015, 40.0) is False
+
+    def test_crowded_cell_matches_oracle(self):
+        # Many overlapping foreign flights in one cell, receivers
+        # straddling the reach boundary: one screen serves them all.
+        flights = [(0.0, 0.001, f"f{i}", 200.0 + 3.0 * i, 0.0) for i in range(16)]
+        state = self._state({(1, 2, 0): flights})
+        for rx in (200.0, 230.0, 260.0, 290.0):
+            self._check(state, "s", 1, rx, 0.0, 0.0, 0.0005, 38.0)
+
+    def test_interfered_rows_matches_single_calls(self):
+        flights = [(0.0, 0.001, f"f{i}", 200.0 + 3.0 * i, 0.0) for i in range(16)]
+        rows = [
+            (i, None, -50.0, False, rx, 0.0, d)
+            for i, (rx, d) in enumerate(
+                [(205.0, 10.0), (230.0, 38.0), (260.0, 38.0), (295.0, 10.0)]
+            )
+        ]
+        state = self._state({(1, 2, 0): flights})
+        batched = state.interfered_rows("s", 1, rows, 0.0, 0.0005)
+        fresh = self._state({(1, 2, 0): flights})
+        singles = [
+            fresh.interfered("s", 1, r[4], r[5], 0.0, 0.0005, r[6]) for r in rows
+        ]
+        assert batched == singles
+        assert True in batched and False in batched
+
+
+class TestBusyUntil:
+    def test_busy_until_is_o_channels(self):
+        state = _state(seed=9)
+        dones = []
+        for i in range(40):
+            granted, _, done = state.acquire(f"s{i}", 1, 1000.0 * i, 0.0, 0.01 + i * 1e-4)
+            assert granted
+            dones.append(done)
+
+        class NoWalk(list):
+            def __iter__(self):  # pragma: no cover - the assertion is the point
+                raise AssertionError("busy_until must not walk the grid")
+
+            __getitem__ = __iter__
+
+        state._grids[1].rows = NoWalk()
+        assert state.busy_until(1) == max(dones)
+        assert state.busy_until(6) == 0.0
+
+    def test_busy_until_matches_oracle(self):
+        state = _state(seed=9)
+        oracle = DictWalkOracle(state)
+        for i in range(10):
+            for sender, channel, airtime in ((f"s{i}", 1, 0.005), (f"m{i}", 6, 0.002)):
+                granted, _, done = state.acquire(sender, channel, 400.0 * i, 0.0, airtime)
+                if granted:
+                    oracle.book(channel, 4 * i, 0, done)
+        for channel in (1, 6, 11):
+            assert state.busy_until(channel) == oracle.busy_until(channel)
+
+
+class TestOracleAgreement:
+    """Whole contended runs on a hand-built corridor, checked per call."""
+
+    def _run(self, loss_rate, seed):
+        sim = Simulator(seed=seed)
+        medium = contended_medium(sim, loss_rate=loss_rate)
+        stations = []
+        # A corridor of cells with hidden-terminal geometry plus a
+        # receiver per cell: enough traffic to defer, carry flights and
+        # wipe receivers.
+        for i in range(6):
+            x = 95.0 + 105.0 * i
+            stations.append(FakeStation(f"tx{i}", x=x))
+            stations.append(FakeStation(f"rx{i}", x=x + 60.0))
+        for s in stations:
+            medium.register(s)
+        for burst in range(3):
+            for i in range(6):
+                medium.transmit(
+                    stations[2 * i], data_frame(f"tx{i}", f"rx{i}", size=600 + 200 * burst)
+                )
+        sim.run(until=2.0)
+        return medium
+
+    def test_corridor_lossy(self, oracle_checked):
+        medium = self._run(loss_rate=0.3, seed=11)
+        assert oracle_checked["deferrals"] > 0 and oracle_checked["hits"] > 0
+        assert medium.frames_collided > 0
+
+    def test_corridor_lossless(self, oracle_checked):
+        self._run(loss_rate=0.0, seed=4)
+        assert oracle_checked["deferrals"] > 0 and oracle_checked["hits"] > 0
+
+
+# ----------------------------------------------------------------------
+# Trial scale: whole contended drives, every sense and scan checked.
+
+from dataclasses import replace  # noqa: E402
+
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from repro.core.schedule import OperationMode  # noqa: E402
+from repro.experiments.common import TownTrialSpec, run_town_trial_spec  # noqa: E402
+from repro.experiments.dense_town import DenseTownSpec, run_dense_trial  # noqa: E402
+from repro.experiments.town_runs import spider_factory  # noqa: E402
+from repro.sim.faults import ApFlap, DhcpStall, FaultPlan, RandomOutages  # noqa: E402
+
+#: Small-but-contended: dense enough that flights stack, deferrals fire
+#: and the vectorized medium engages at its real threshold (so, with
+#: numpy, interference flags come from the batched ``interfered_rows``).
+CONTENDED_DENSE = DenseTownSpec(
+    duration_s=1.5,
+    town="city",
+    n_vehicles=3,
+    loop_length_m=1500.0,
+    ap_density_per_km=80.0,
+    contention=ContentionSpec(),
+)
+
+
+class TestTrialScaleOracleAgreement:
+    """Dense-town regimes and a fault plan, checked against the oracle."""
+
+    def _check(self, tally, spec, seed=0):
+        row = run_dense_trial(spec, seed=seed)
+        assert row.frames_delivered > 0
+        assert tally["acquires"] > 0 and tally["scans"] > 0
+
+    def test_static_fleet(self, oracle_checked):
+        """Speed 0: senders re-contend from frozen positions."""
+        self._check(oracle_checked, replace(CONTENDED_DENSE, speed_mps=0.0))
+
+    def test_mobile_fleet(self, oracle_checked):
+        self._check(oracle_checked, CONTENDED_DENSE, seed=1)
+
+    def test_clustered_lossy_world(self, oracle_checked):
+        """Clustered AP drops pile flights into few cells (deep scans)
+        while loss draws interleave with backoff draws."""
+        self._check(
+            oracle_checked, replace(CONTENDED_DENSE, clustered=True, loss_rate=0.25), seed=2
+        )
+
+    def test_staggered_vs_colocated_starts(self, oracle_checked):
+        """A short loop packs the staggered vehicles into adjacent cells."""
+        self._check(oracle_checked, replace(CONTENDED_DENSE, loop_length_m=900.0), seed=3)
+
+    def test_fault_plan(self, oracle_checked):
+        """A full fault plan on a contended amherst drive."""
+        plan = FaultPlan(
+            events=(
+                ApFlap(start_s=5.0, count=2, down_s=3.0, up_s=4.0),
+                DhcpStall(at_s=12.0, duration_s=6.0),
+                RandomOutages(start_s=0.0, end_s=30.0, rate_per_min=2.0),
+            )
+        )
+        spec = TownTrialSpec(
+            factory=spider_factory(OperationMode.single_channel(1), 7),
+            label="contended-faults",
+            seed=2,
+            duration_s=30.0,
+            telemetry=True,
+            contention=ContentionSpec(),
+            faults=plan,
+        )
+        run_town_trial_spec(spec)
+        assert oracle_checked["acquires"] > 0 and oracle_checked["scans"] > 0
+
+    @settings(
+        max_examples=5,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        seed=st.integers(min_value=0, max_value=3),
+        loop_length_m=st.sampled_from([1200.0, 1500.0, 1800.0]),
+        ap_density_per_km=st.sampled_from([60.0, 80.0, 100.0]),
+        loss_rate=st.sampled_from([0.0, 0.1, 0.25]),
+        clustered=st.booleans(),
+        n_vehicles=st.integers(min_value=2, max_value=3),
+        telemetry=st.booleans(),
+        vector=st.booleans(),
+    )
+    def test_random_contended_grid_matches_oracle(
+        self,
+        oracle_checked,
+        seed,
+        loop_length_m,
+        ap_density_per_km,
+        loss_rate,
+        clustered,
+        n_vehicles,
+        telemetry,
+        vector,
+    ):
+        """Arbitrary dense grids, both delivery paths (batched flags on the
+        vectorized medium, per-receiver calls on the scalar one) and both
+        telemetry modes."""
+        spec = DenseTownSpec(
+            duration_s=1.2,
+            town="city",
+            n_vehicles=n_vehicles,
+            loop_length_m=loop_length_m,
+            ap_density_per_km=ap_density_per_km,
+            loss_rate=loss_rate,
+            clustered=clustered,
+            telemetry=telemetry,
+            vector=vector,
+            contention=ContentionSpec(),
+        )
+        self._check(oracle_checked, spec, seed=seed)

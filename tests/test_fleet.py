@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.fleet import FleetResult, FleetRow, run
+from repro.experiments.fleet import (
+    FleetResult,
+    FleetRow,
+    _run_fleet,
+    run,
+    run_sharded_trial,
+)
 
 
 class TestFleetRun:
@@ -51,3 +57,18 @@ class TestFleetPredicates:
             rows=[FleetRow(1, 100, 100, 20), FleetRow(5, 5, 25, 20)]
         )
         assert not collapsed.per_vehicle_declines_gracefully()
+
+
+class TestShardedFleetBitIdentity:
+    @pytest.mark.parametrize("n_vehicles", [1, 3])
+    def test_sharded_equals_unsharded(self, n_vehicles):
+        direct = _run_fleet(n_vehicles, seed=0, duration_s=60.0, town_preset="amherst")
+        sharded = run_sharded_trial(
+            n_vehicles, seed=0, duration_s=60.0, workers=2
+        )
+        assert sharded == direct  # dataclass equality: bit-for-bit floats
+
+    def test_sharded_serial_equals_parallel(self):
+        serial = run_sharded_trial(3, seed=1, duration_s=60.0, workers=1)
+        parallel = run_sharded_trial(3, seed=1, duration_s=60.0, workers=3)
+        assert serial == parallel

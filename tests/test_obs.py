@@ -407,10 +407,10 @@ class TestIntegration:
         per_kind = sum(
             v for name, v in snap.counters if name.startswith("engine.dispatch.")
         )
-        # Per-kind counts cover every dispatched event; batched frame
-        # delivery folds extra logical events on top of the dispatched ones.
+        # Per-kind counts cover every dispatched event, and every event
+        # is dispatched.
         assert per_kind == dispatched
-        assert dispatched <= snap.counter_value("engine.events")
+        assert dispatched == snap.counter_value("engine.events")
         assert snap.counter_value("engine.wall.run_s") > 0.0
         assert snap.gauge_value("engine.heap_depth")[1] > 0
 

@@ -9,6 +9,7 @@ from repro.sim.frames import BROADCAST, Frame, FrameKind
 from repro.sim.radio import (
     DATA_RETRY_LIMIT,
     FRAME_OVERHEAD_S,
+    PROPAGATION_DELAY_S,
     Medium,
     rssi_from_distance,
 )
@@ -186,6 +187,63 @@ class TestAirtimeAndSerialization:
         frame = mgmt_frame("a", "b")
         expected = frame.size * 8.0 / lossy.data_rate_bps + FRAME_OVERHEAD_S
         assert lossy.airtime(frame) == pytest.approx(expected)
+
+
+class TestPerFrameDelivery:
+    """Every frame is delivered by its own engine event at completion."""
+
+    def _pair(self, sim, medium, channel=1):
+        tx = FakeStation(f"tx{channel}", channel=channel)
+        rx = FakeStation(f"rx{channel}", x=30.0, channel=channel)
+        arrivals = []
+        rx.on_frame = lambda frame, rssi: arrivals.append((frame.size, sim.now))
+        medium.register(tx)
+        medium.register(rx)
+        return tx, rx, arrivals
+
+    def test_delivery_in_completion_time_order(self, sim, medium):
+        tx, rx, arrivals = self._pair(sim, medium)
+        for i in range(4):
+            medium.transmit(tx, mgmt_frame("tx1", "rx1", size=100 + i))
+        sim.run(until=1.0)
+        assert [size for size, _ in arrivals] == [100, 101, 102, 103]
+        times = [t for _, t in arrivals]
+        assert times == sorted(times)
+        assert len(set(times)) == 4  # channel serialization separates them
+
+    def test_arrival_clock_is_completion_plus_propagation(self, sim, medium):
+        tx, rx, arrivals = self._pair(sim, medium)
+        done_times = [medium.transmit(tx, mgmt_frame("tx1", "rx1")) for _ in range(3)]
+        sim.run(until=1.0)
+        assert [t for _, t in arrivals] == [d + PROPAGATION_DELAY_S for d in done_times]
+
+    def test_frame_due_after_run_bound_arrives_next_run(self, sim, medium):
+        tx, rx, arrivals = self._pair(sim, medium)
+        done = medium.transmit(tx, mgmt_frame("tx1", "rx1"))
+        sim.run(until=done / 2)
+        assert arrivals == []
+        sim.run(until=done + 1.0)
+        assert [t for _, t in arrivals] == [done + PROPAGATION_DELAY_S]
+
+    def test_delivers_again_after_idle(self, sim, medium):
+        tx, rx, arrivals = self._pair(sim, medium)
+        medium.transmit(tx, mgmt_frame("tx1", "rx1"))
+        sim.run(until=1.0)
+        assert len(arrivals) == 1
+        medium.transmit(tx, mgmt_frame("tx1", "rx1"))
+        sim.run(until=2.0)
+        assert len(arrivals) == 2
+
+    def test_channels_are_independent(self, sim, medium):
+        pairs = {chan: self._pair(sim, medium, channel=chan) for chan in (1, 6)}
+        done = {
+            chan: medium.transmit(tx, mgmt_frame(tx.station_id, rx.station_id, channel=chan))
+            for chan, (tx, rx, _arrivals) in pairs.items()
+        }
+        assert done[1] == done[6]  # neither channel waited for the other
+        sim.run(until=1.0)
+        for chan, (_tx, _rx, arrivals) in pairs.items():
+            assert [t for _, t in arrivals] == [done[chan] + PROPAGATION_DELAY_S]
 
 
 class TestAirtimeEdgeCases:
