@@ -88,28 +88,42 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 # ----------------------------------------------------------------------
-# Expensive shared runs (session-scoped, computed once)
+# Shared drives (one fresh trial cache per session)
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="session")
-def town_suite():
-    """The Table 2 configuration drives, shared by Table 2/Figs 11-13/16-17."""
-    from repro.experiments.town_runs import run_configuration_suite
+def bench_cache(tmp_path_factory):
+    """Spec fields that share drives between benches via the trial cache.
 
-    return run_configuration_suite(
+    Table 2, Figs. 11-13 and Figs. 16-17 build identical trial specs for
+    the configurations they share, as do Table 3 and Figs. 14-15, so the
+    first bench of each group simulates the drives and the rest replay
+    them.  The directory is new every session: no entry from older code
+    is ever read.  The session's hit/miss line joins the terminal summary.
+    """
+    from repro.cache import resolve_cache
+
+    cache_dir = str(tmp_path_factory.mktemp("bench_cache"))
+    yield dict(cache=True, cache_dir=cache_dir)
+    _REPORTS["trial cache"] = resolve_cache(True, cache_dir).describe()
+
+
+def suite_spec(spec_cls, bench_cache, **fields):
+    """A spec at bench scale for the Table 2 configuration drives."""
+    return spec_cls(
         seeds=bench_seeds(),
         duration_s=bench_duration(),
-        include_cambridge=True,
         workers=bench_workers(),
+        **bench_cache,
+        **fields,
     )
 
 
-@pytest.fixture(scope="session")
-def timeout_grid_results():
-    """The join-timeout grid shared by Table 3 and Figs 14/15."""
-    from repro.experiments.timeout_grid import run_grid
-
-    return run_grid(
+def grid_spec(spec_cls, bench_cache, **fields):
+    """A spec at bench scale for the join-timeout grid drives."""
+    return spec_cls(
         seeds=bench_seeds(),
         duration_s=min(bench_duration(), 420.0),
         workers=bench_workers(),
+        **bench_cache,
+        **fields,
     )

@@ -4,7 +4,9 @@ from repro.experiments import appendix_knapsack
 
 
 def test_bench_appendix_knapsack(benchmark, report):
-    result = benchmark.pedantic(appendix_knapsack.run, rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        lambda: appendix_knapsack.run_spec().unwrap(), rounds=1, iterations=1
+    )
     report("Appendix A (knapsack selection)", result.render())
     # The greedy heuristic is near-optimal on realistic instances...
     assert result.greedy_optimality_ratio() > 0.8

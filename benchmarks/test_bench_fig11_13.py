@@ -1,5 +1,6 @@
 """Bench FIG11-13: connection/disruption/instantaneous-bandwidth CDFs."""
 
+from conftest import suite_spec
 from repro.analysis.stats import percentile
 from repro.experiments import fig11_13_cdfs
 from repro.experiments.town_runs import (
@@ -8,9 +9,10 @@ from repro.experiments.town_runs import (
 )
 
 
-def test_bench_fig11_13(benchmark, report, town_suite):
+def test_bench_fig11_13(benchmark, report, bench_cache):
+    spec = suite_spec(fig11_13_cdfs.Fig11to13Spec, bench_cache)
     result = benchmark.pedantic(
-        lambda: fig11_13_cdfs.run(suite=town_suite), rounds=1, iterations=1
+        lambda: fig11_13_cdfs.run_spec(spec).unwrap(), rounds=1, iterations=1
     )
     report("Figs 11-13 (CDFs per configuration)", result.render())
     # Fig 11/12 trade-off: single-channel multi-AP holds the longest

@@ -1,11 +1,13 @@
 """Bench FIG14: join time vs DHCP timeout."""
 
+from conftest import grid_spec
 from repro.experiments import fig14_join_timeouts
 
 
-def test_bench_fig14(benchmark, report, timeout_grid_results):
+def test_bench_fig14(benchmark, report, bench_cache):
+    spec = grid_spec(fig14_join_timeouts.Fig14Spec, bench_cache)
     result = benchmark.pedantic(
-        lambda: fig14_join_timeouts.run(grid=timeout_grid_results),
+        lambda: fig14_join_timeouts.run_spec(spec).unwrap(),
         rounds=1,
         iterations=1,
     )

@@ -1,11 +1,13 @@
 """Bench FIG15: join delay per scheduling policy."""
 
+from conftest import grid_spec
 from repro.experiments import fig15_join_policies
 
 
-def test_bench_fig15(benchmark, report, timeout_grid_results):
+def test_bench_fig15(benchmark, report, bench_cache):
+    spec = grid_spec(fig15_join_policies.Fig15Spec, bench_cache)
     result = benchmark.pedantic(
-        lambda: fig15_join_policies.run(grid=timeout_grid_results),
+        lambda: fig15_join_policies.run_spec(spec).unwrap(),
         rounds=1,
         iterations=1,
     )

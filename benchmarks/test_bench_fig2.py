@@ -4,13 +4,13 @@ from repro.experiments import fig2_join_validation
 
 
 def test_bench_fig2(benchmark, report):
+    spec = fig2_join_validation.Fig2Spec(runs=20, trials_per_run=100)
     result = benchmark.pedantic(
-        lambda: fig2_join_validation.run(runs=20, trials_per_run=100),
+        lambda: fig2_join_validation.run_spec(spec).unwrap(),
         rounds=1,
         iterations=1,
     )
     gap = result.max_model_sim_gap()
-    report("Fig 2 (join model vs simulation)",
-           result.render() + f"\nmax |model - sim| = {gap:.3f}")
+    report("Fig 2 (join model vs simulation)", result.render())
     # The simulation internally validates the closed form.
     assert gap < 0.08

@@ -1,12 +1,16 @@
 """Bench FIG5: association success vs channel fraction."""
 
-from conftest import bench_seeds
+from conftest import bench_seeds, bench_workers
 from repro.experiments import fig5_association
 
 
 def test_bench_fig5(benchmark, report):
     result = benchmark.pedantic(
-        lambda: fig5_association.run(seeds=bench_seeds(), duration_s=240.0),
+        lambda: fig5_association.run_spec(
+            fig5_association.Fig5Spec(
+                seeds=bench_seeds(), duration_s=240.0, workers=bench_workers()
+            )
+        ).unwrap(),
         rounds=1,
         iterations=1,
     )

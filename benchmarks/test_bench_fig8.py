@@ -10,7 +10,10 @@ def _mean(xs):
 def test_bench_fig8(benchmark, report):
     def run():
         per_seed = [
-            fig8_tcp_dwell.run(seed=s, measure_s=45.0) for s in (0, 1, 2)
+            fig8_tcp_dwell.run_spec(
+                fig8_tcp_dwell.Fig8Spec(seeds=(s,), measure_s=45.0)
+            ).unwrap()
+            for s in (0, 1, 2)
         ]
         merged = fig8_tcp_dwell.Fig8Result(
             dwell_ms=per_seed[0].dwell_ms,

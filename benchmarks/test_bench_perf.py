@@ -140,19 +140,22 @@ def test_perf_town_trial(report):
 
 def test_perf_table2_suite_serial_vs_parallel(report):
     """The Table 2 suite, serial vs parallel: identical rows, less wall."""
+    from repro.experiments.api import ExperimentSpec
     from repro.experiments.town_runs import run_configuration_suite
 
     seeds = bench_seeds()
     duration = _duration()
     t0 = time.perf_counter()
     serial = run_configuration_suite(
-        seeds=seeds, duration_s=duration, include_cambridge=False, workers=1
+        ExperimentSpec(seeds=seeds, duration_s=duration, workers=1),
+        include_cambridge=False,
     )
     serial_wall = time.perf_counter() - t0
     workers = max(bench_workers(), 2)
     t0 = time.perf_counter()
     parallel = run_configuration_suite(
-        seeds=seeds, duration_s=duration, include_cambridge=False, workers=workers
+        ExperimentSpec(seeds=seeds, duration_s=duration, workers=workers),
+        include_cambridge=False,
     )
     parallel_wall = time.perf_counter() - t0
     for label in serial.labels():
@@ -178,15 +181,16 @@ def test_perf_table2_suite_serial_vs_parallel(report):
 
 def test_perf_timeout_grid(report):
     """Two representative cells of the join-timeout grid."""
+    from repro.experiments.api import ExperimentSpec
     from repro.experiments.timeout_grid import run_grid
 
     labels = ["ch1, ll=100ms, dhcp=200ms, 7if", "3ch, ll=100ms, dhcp=200ms, 7if"]
     t0 = time.perf_counter()
     results = run_grid(
-        labels=labels,
-        seeds=bench_seeds(),
-        duration_s=_duration(),
-        workers=bench_workers(),
+        ExperimentSpec(
+            seeds=bench_seeds(), duration_s=_duration(), workers=bench_workers()
+        ),
+        labels,
     )
     wall = time.perf_counter() - t0
     events = sum(t.events_processed for agg in results.values() for t in agg.trials)

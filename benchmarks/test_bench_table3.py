@@ -1,11 +1,13 @@
 """Bench TAB3: DHCP failure probabilities per timeout configuration."""
 
+from conftest import grid_spec
 from repro.experiments import table3_dhcp_failures
 
 
-def test_bench_table3(benchmark, report, timeout_grid_results):
+def test_bench_table3(benchmark, report, bench_cache):
+    spec = grid_spec(table3_dhcp_failures.Table3Spec, bench_cache)
     result = benchmark.pedantic(
-        lambda: table3_dhcp_failures.run(grid=timeout_grid_results),
+        lambda: table3_dhcp_failures.run_spec(spec).unwrap(),
         rounds=1,
         iterations=1,
     )

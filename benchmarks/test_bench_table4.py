@@ -1,12 +1,16 @@
 """Bench TAB4: 1/2/3-channel static schedules."""
 
-from conftest import bench_duration, bench_seeds
+from conftest import bench_duration, bench_seeds, bench_workers
 from repro.experiments import table4_channels
 
 
 def test_bench_table4(benchmark, report):
     result = benchmark.pedantic(
-        lambda: table4_channels.run(seeds=bench_seeds(), duration_s=bench_duration()),
+        lambda: table4_channels.run_spec(
+            table4_channels.Table4Spec(
+                seeds=bench_seeds(), duration_s=bench_duration(), workers=bench_workers()
+            )
+        ).unwrap(),
         rounds=1,
         iterations=1,
     )

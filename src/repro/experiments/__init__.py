@@ -1,22 +1,25 @@
 """One module per paper table/figure, plus shared harnesses.
 
-Each module exposes ``run_spec(spec) -> TrialResult`` — the unified
-spec→result contract defined in :mod:`repro.experiments.api` — alongside a
-deprecated ``run(...)`` shim with the historical signature and a ``main()``
-entry point.  Results are structured data with a ``render()`` method that
-prints the same rows/series the paper reports; specs carry the shared
-vocabulary (seeds, duration, town, workers) so the benchmark harness and
-the CLI can trade accuracy for time uniformly.
+Each module exposes one entry point, ``run_spec(spec) -> TrialResult`` —
+the spec→result contract defined in :mod:`repro.experiments.api` — and
+``python -m repro <name>`` runs it from the shell.  Results are structured
+data with a ``render()`` method that prints the rows/series the paper
+reports plus the paper's claims about them; specs carry the shared
+vocabulary (seeds, duration, town, workers, run options) so the benchmark
+harness and the CLI can trade accuracy for time uniformly.
 
 Importing this package registers every experiment in
 :data:`repro.experiments.api.REGISTRY` (registration happens at module
-import, in the order below).
+import, in the order below).  Experiments that read the same drives share
+them through the trial cache (``python -m repro table2 --cache`` then
+``python -m repro fig11-13 --cache`` replays the Table 2 drives).
 """
 
 from . import api
 from . import (
     ap_density,
     appendix_knapsack,
+    channel_assign,
     common,
     dense_town,
     fig2_join_validation,
@@ -47,6 +50,7 @@ __all__ = [
     "api",
     "ap_density",
     "appendix_knapsack",
+    "channel_assign",
     "common",
     "dense_town",
     "fig2_join_validation",

@@ -1,37 +1,37 @@
-"""Unified spec -> envelope contract for the experiment modules.
+"""The spec -> envelope contract every experiment module implements.
 
-Historically every experiment module grew its own ``run(...)`` signature —
-a mix of ad-hoc keyword arguments (``seed`` vs ``seeds``, ``town`` vs
-``town_preset`` vs ``towns``) returning bare result objects that raised on
-the first failed trial.  This module is the other half of the
-:class:`~repro.experiments.common.TownTrialSpec` redesign, lifted from one
-trial to one whole experiment:
+Each experiment has exactly one way to run: ``run_spec(spec)``, reached by
+name through :data:`REGISTRY` and from the shell as ``python -m repro
+<name>``.
 
 * :class:`ExperimentSpec` is the frozen, picklable base spec carrying the
   vocabulary shared by (almost) every experiment — ``seeds``,
-  ``duration_s``, ``town``, and the :mod:`repro.runner` knobs ``workers``
-  / ``timeout_s`` / ``retries``.  Each module subclasses it with its own
-  extras (fractions, labels, fleet sizes, ...) and may override defaults.
-  Analytic experiments (fig3, fig4) simply ignore the fields that have no
-  meaning for them; the shared CLI can still address every experiment with
-  one flag vocabulary.
-* ``run_spec(spec) -> TrialResult`` is the one entry point every module
-  exposes: it executes the experiment and returns the same
-  :class:`~repro.runner.TrialResult` envelope the trial pool uses, so a
-  failed experiment reports ``ok=False`` with a diagnosis instead of
-  unwinding a whole artifact regeneration.  ``envelope.unwrap()`` restores
-  the old raise-on-failure behaviour.
+  ``duration_s``, ``town``, the :mod:`repro.runner` knobs ``workers`` /
+  ``timeout_s`` / ``retries``, and the run options ``telemetry``,
+  ``transport`` and ``contention``.  Each module subclasses it with its
+  own extras (fractions, labels, fleet sizes, ...) and may override
+  defaults.  Analytic experiments (fig3, fig4) simply ignore the fields
+  that have no meaning for them; the shared CLI can still address every
+  experiment with one flag vocabulary.  Experiments that run town trials
+  hand their spec to
+  :func:`~repro.experiments.common.aggregate_town_trials`, the one place
+  the shared fields reach the trials.
+* ``run_spec(spec) -> TrialResult`` executes the experiment and returns
+  the same :class:`~repro.runner.TrialResult` envelope the trial pool
+  uses, so a failed experiment reports ``ok=False`` with a diagnosis
+  instead of unwinding a whole artifact regeneration.
+  ``envelope.unwrap()`` raises instead.
 * :func:`register` wires a module's spec class and runner into the global
   :data:`REGISTRY`, which is what ``python -m repro`` dispatches from.
 
-The old ``run(...)`` signatures survive as thin shims that emit
-:class:`DeprecationWarning` (see :func:`warn_deprecated`) and forward to
-the same implementation, so existing callers keep working bit-identically.
+Experiments that read the same drives (Table 2, Figs. 11-13 and 16-17;
+Table 3 and Figs. 14-15) share them through the trial cache: their trial
+specs are identical, so with ``cache=True`` (``--cache``) the second
+experiment replays what the first simulated.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
@@ -49,7 +49,6 @@ __all__ = [
     "experiment_names",
     "run_experiment",
     "spec_from_options",
-    "warn_deprecated",
     "to_jsonable",
 ]
 
@@ -131,7 +130,7 @@ def register(
 
         @register("fig5", Fig5Spec, summary="association success vs f6")
         def run_spec(spec):            # receives a Fig5Spec
-            return _run(...)           # returns the bare Fig5Result
+            ...                        # returns the bare Fig5Result
 
     The decorated name is rebound to an enveloping wrapper: calling it
     (with a spec, or with no argument for the spec class's defaults)
@@ -233,19 +232,6 @@ def spec_from_options(spec_cls: Type[ExperimentSpec], **overrides: Any) -> Exper
     names = {f.name for f in fields(spec_cls)}
     kept = {k: v for k, v in overrides.items() if v is not None and k in names}
     return spec_cls(**kept)
-
-
-def warn_deprecated(old: str, new: str) -> None:
-    """Emit the standard shim warning: ``old`` still works, ``new`` is it.
-
-    ``stacklevel=3`` points the warning at the *caller* of the deprecated
-    shim, not at the shim or this helper.
-    """
-    warnings.warn(
-        f"{old} is deprecated; use {new}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def to_jsonable(obj: Any) -> Any:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..obs.telemetry import Telemetry, TelemetrySnapshot, merge_snapshots
 from ..runner import TrialJob, TrialResult, run_jobs, unwrap_all
@@ -32,6 +32,9 @@ from ..sim.metrics import JoinLog
 from ..sim.mobility import MobilityModel
 from ..sim.world import World
 from ..workloads.town import TownConfig, build_town
+
+if TYPE_CHECKING:
+    from .api import ExperimentSpec
 
 __all__ = [
     "ClientFactory",
@@ -259,27 +262,14 @@ def run_town_trial_envelopes(
     workers: Optional[int] = None,
     timeout_s: Optional[float] = None,
     retries: Optional[int] = None,
-    telemetry: Optional[bool] = None,
     cache: Optional[object] = None,
-    transport: Optional[TransportSpec] = None,
-    contention: Optional[ContentionSpec] = None,
 ) -> List[TrialResult]:
     """Fan trial specs across workers; envelopes in spec order.
 
-    This is the shared fan-out for every multi-trial experiment: callers
-    flatten their whole ``config x seed`` grid into one batch so the pool
-    balances across all of it, then regroup the ordered results.  Each
-    envelope's ``tag`` is ``(label, seed)``; failed trials come back as
-    ``ok=False`` without disturbing their siblings.
-
-    ``telemetry`` (non-``None``) overrides every spec's ``telemetry``
-    field, which is how experiments thread the shared
-    ``ExperimentSpec.telemetry`` flag through an existing grid without
-    each module rebuilding its specs.  ``transport`` (non-``None``)
-    overrides every spec's ``transport`` the same way — the path behind
-    the shared ``--cc``/``--split`` CLI flags — and ``contention``
-    (non-``None``) overrides every spec's ``contention`` (the
-    ``--contention`` flag's path).
+    Callers flatten their whole ``config x seed`` grid into one batch so
+    the pool balances across all of it, then regroup the ordered results.
+    Each envelope's ``tag`` is ``(label, seed)``; failed trials come back
+    as ``ok=False`` without disturbing their siblings.
 
     ``cache`` resolves via :func:`repro.cache.resolve_cache`; because a
     trial spec is frozen and picklable, its content address covers the
@@ -287,12 +277,6 @@ def run_town_trial_envelopes(
     already-computed trial — snapshot included — is replayed from the
     cache instead of re-simulated.
     """
-    if telemetry is not None:
-        specs = [replace(spec, telemetry=telemetry) for spec in specs]
-    if transport is not None:
-        specs = [replace(spec, transport=transport) for spec in specs]
-    if contention is not None:
-        specs = [replace(spec, contention=contention) for spec in specs]
     jobs = [
         TrialJob(run_town_trial_spec, (spec,), tag=(spec.label, spec.seed))
         for spec in specs
@@ -337,37 +321,35 @@ def salvage_town_trials(
 
 def aggregate_town_trials(
     specs: Sequence[TownTrialSpec],
-    envelopes: Optional[Sequence[TrialResult]] = None,
-    workers: Optional[int] = None,
-    timeout_s: Optional[float] = None,
-    retries: Optional[int] = None,
+    experiment: Optional["ExperimentSpec"] = None,
     strict: bool = False,
-    telemetry: Optional[bool] = None,
     cache: Optional[object] = None,
-    transport: Optional[TransportSpec] = None,
-    contention: Optional[ContentionSpec] = None,
 ) -> Dict[str, AggregatedMetrics]:
     """Fan specs out and regroup the results per label, in spec order.
 
-    The single aggregation path behind :func:`run_town_trials` and every
-    suite-level grid: ``envelopes=None`` runs the batch here; passing
-    envelopes regroups results already in hand.  ``strict`` raises
-    :class:`~repro.runner.TrialError` on the first failed trial instead of
-    salvaging the survivors, matching the old :func:`run_town_trial_specs`
-    contract.  Iteration follows spec order, so per-label trial lists stay
-    in seed order and parallel aggregates are bit-identical to serial ones.
+    The single aggregation path behind every experiment that runs town
+    trials, and the one place an experiment's shared run options reach
+    its trials.  From ``experiment`` (an
+    :class:`~repro.experiments.api.ExperimentSpec`): ``telemetry`` (when
+    on), ``transport`` and ``contention`` (when set) replace every trial
+    spec's own, and ``workers``/``timeout_s``/``retries`` drive the
+    fan-out.  ``None`` leaves the trial specs as given and the runner
+    knobs at their environment defaults.
+
+    ``strict`` raises :class:`~repro.runner.TrialError` on the first failed
+    trial instead of salvaging the survivors.  Iteration follows spec
+    order, so per-label trial lists stay in seed order and parallel
+    aggregates are bit-identical to serial ones.
     """
-    if envelopes is None:
-        envelopes = run_town_trial_envelopes(
-            specs,
-            workers=workers,
-            timeout_s=timeout_s,
-            retries=retries,
-            telemetry=telemetry,
-            cache=cache,
-            transport=transport,
-            contention=contention,
-        )
+    workers = timeout_s = retries = None
+    if experiment is not None:
+        specs = [_with_run_options(spec, experiment) for spec in specs]
+        workers = experiment.workers
+        timeout_s = experiment.timeout_s
+        retries = experiment.retries
+    envelopes = run_town_trial_envelopes(
+        specs, workers=workers, timeout_s=timeout_s, retries=retries, cache=cache
+    )
     if strict:
         pairs = list(zip(specs, unwrap_all(envelopes)))
     else:
@@ -378,6 +360,19 @@ def aggregate_town_trials(
             spec.label, AggregatedMetrics(label=spec.label, trials=[])
         ).trials.append(trial)
     return per_label
+
+
+def _with_run_options(
+    spec: TownTrialSpec, experiment: "ExperimentSpec"
+) -> TownTrialSpec:
+    """``spec`` with the experiment's telemetry, transport and contention."""
+    if experiment.telemetry:
+        spec = replace(spec, telemetry=True)
+    if experiment.transport is not None:
+        spec = replace(spec, transport=experiment.transport)
+    if experiment.contention is not None:
+        spec = replace(spec, contention=experiment.contention)
+    return spec
 
 
 def run_town_trials(
@@ -413,8 +408,9 @@ def run_town_trials(
         )
         for seed in seeds
     ]
-    per_label = aggregate_town_trials(specs, workers=workers, strict=True)
-    return per_label.get(label, AggregatedMetrics(label=label, trials=[]))
+    return AggregatedMetrics(
+        label=label, trials=run_town_trial_specs(specs, workers=workers)
+    )
 
 
 def _mean(values: Sequence[float]) -> float:

@@ -9,15 +9,14 @@ on one channel."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..analysis.reporting import format_cdf
 from ..analysis.stats import percentile
-from .api import ExperimentSpec, register, warn_deprecated
-from .common import AggregatedMetrics
+from .api import ExperimentSpec, register
 from .timeout_grid import run_grid
 
-__all__ = ["Fig14Spec", "Fig14Result", "run", "run_spec", "main"]
+__all__ = ["Fig14Spec", "Fig14Result", "run_spec"]
 
 FIG14_LABELS = (
     "ch1, ll=100ms, dhcp=200ms, 7if",
@@ -58,57 +57,9 @@ class Fig14Spec(ExperimentSpec):
     labels: Tuple[str, ...] = FIG14_LABELS
 
 
-def _run(
-    labels: Sequence[str],
-    seeds: Sequence[int],
-    duration_s: float,
-    grid: Optional[Dict[str, AggregatedMetrics]],
-    workers: Optional[int] = None,
-    transport=None,
-    contention=None,
-) -> Fig14Result:
-    if grid is None:
-        grid = run_grid(
-            labels=labels,
-            seeds=seeds,
-            duration_s=duration_s,
-            workers=workers,
-            transport=transport,
-            contention=contention,
-        )
-    return Fig14Result(
-        join_times={label: grid[label].pooled_join_times() for label in labels}
-    )
-
-
 @register("fig14", Fig14Spec, summary="join time CDFs vs DHCP timeout")
 def run_spec(spec: Fig14Spec) -> Fig14Result:
-    return _run(
-        spec.labels,
-        spec.seeds,
-        spec.duration_s,
-        None,
-        workers=spec.workers,
-        transport=spec.transport,
-        contention=spec.contention,
+    grid = run_grid(spec, spec.labels)
+    return Fig14Result(
+        join_times={label: grid[label].pooled_join_times() for label in spec.labels}
     )
-
-
-def run(
-    labels: Sequence[str] = FIG14_LABELS,
-    seeds: Sequence[int] = (0, 1),
-    duration_s: float = 300.0,
-    grid: Optional[Dict[str, AggregatedMetrics]] = None,
-) -> Fig14Result:
-    """Deprecated shim: execute the experiment and return its result."""
-    warn_deprecated("fig14_join_timeouts.run(...)", "run_spec(Fig14Spec(...))")
-    return _run(labels, seeds, duration_s, grid)
-
-
-def main() -> None:
-    """Command-line entry point."""
-    print(run_spec().unwrap().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -10,15 +10,14 @@ slows the join pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..analysis.reporting import format_cdf
 from ..analysis.stats import percentile
-from .api import ExperimentSpec, register, warn_deprecated
-from .common import AggregatedMetrics
+from .api import ExperimentSpec, register
 from .timeout_grid import run_grid
 
-__all__ = ["Fig15Spec", "Fig15Result", "run", "run_spec", "main"]
+__all__ = ["Fig15Spec", "Fig15Result", "run_spec"]
 
 FIG15_LABELS = (
     "ch1, default timers, 1if",
@@ -47,7 +46,7 @@ class Fig15Result:
         return min(candidates, key=candidates.get)  # type: ignore[arg-type]
 
     def render(self) -> str:
-        """Render the result as printable text."""
+        """Render the curves plus the fastest policy."""
         lines = []
         for label, values in self.join_times.items():
             lines.append(
@@ -57,6 +56,8 @@ class Fig15Result:
                     CDF_POINTS_S,
                 )
             )
+        if any(self.join_times.values()):
+            lines.append(f"fastest policy: {self.fastest_policy()}")
         return "\n".join(lines)
 
 
@@ -67,59 +68,9 @@ class Fig15Spec(ExperimentSpec):
     labels: Tuple[str, ...] = FIG15_LABELS
 
 
-def _run(
-    labels: Sequence[str],
-    seeds: Sequence[int],
-    duration_s: float,
-    grid: Optional[Dict[str, AggregatedMetrics]],
-    workers: Optional[int] = None,
-    transport=None,
-    contention=None,
-) -> Fig15Result:
-    if grid is None:
-        grid = run_grid(
-            labels=labels,
-            seeds=seeds,
-            duration_s=duration_s,
-            workers=workers,
-            transport=transport,
-            contention=contention,
-        )
-    return Fig15Result(
-        join_times={label: grid[label].pooled_join_times() for label in labels}
-    )
-
-
 @register("fig15", Fig15Spec, summary="join delay across scheduling policies")
 def run_spec(spec: Fig15Spec) -> Fig15Result:
-    return _run(
-        spec.labels,
-        spec.seeds,
-        spec.duration_s,
-        None,
-        workers=spec.workers,
-        transport=spec.transport,
-        contention=spec.contention,
+    grid = run_grid(spec, spec.labels)
+    return Fig15Result(
+        join_times={label: grid[label].pooled_join_times() for label in spec.labels}
     )
-
-
-def run(
-    labels: Sequence[str] = FIG15_LABELS,
-    seeds: Sequence[int] = (0, 1),
-    duration_s: float = 300.0,
-    grid: Optional[Dict[str, AggregatedMetrics]] = None,
-) -> Fig15Result:
-    """Deprecated shim: execute the experiment and return its result."""
-    warn_deprecated("fig15_join_policies.run(...)", "run_spec(Fig15Spec(...))")
-    return _run(labels, seeds, duration_s, grid)
-
-
-def main() -> None:
-    """Command-line entry point."""
-    result = run_spec().unwrap()
-    print(result.render())
-    print(f"fastest policy: {result.fastest_policy()}")
-
-
-if __name__ == "__main__":
-    main()

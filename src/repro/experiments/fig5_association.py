@@ -11,25 +11,21 @@ for smaller fractions plateau below 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..analysis.stats import cdf_at
 from ..core.link_manager import SpiderConfig
 from ..core.schedule import OperationMode
 from ..core.spider import SpiderClient
-from ..sim.cc import TransportSpec
-from ..sim.contention import ContentionSpec
-from .api import ExperimentSpec, register, warn_deprecated
-from .common import run_town_trials
+from .api import ExperimentSpec, register
+from .common import TownTrialSpec, aggregate_town_trials
 
 __all__ = [
     "schedule_for_fraction",
     "Fig5Spec",
     "Fig5Curve",
     "Fig5Result",
-    "run",
     "run_spec",
-    "main",
 ]
 
 PRIMARY_CHANNEL = 6
@@ -112,10 +108,6 @@ class Fig5Factory:
         )
 
 
-def _factory(fraction: float):
-    return Fig5Factory(fraction)
-
-
 @dataclass(frozen=True)
 class Fig5Spec(ExperimentSpec):
     """Spec for Figure 5 (association success vs schedule fraction)."""
@@ -124,30 +116,25 @@ class Fig5Spec(ExperimentSpec):
     fractions: Tuple[float, ...] = (0.25, 0.50, 0.75, 1.0)
 
 
-def _run(
-    fractions: Sequence[float],
-    seeds: Sequence[int],
-    duration_s: float,
-    town: str,
-    workers: Optional[int] = None,
-    transport: Optional[TransportSpec] = None,
-    contention: Optional[ContentionSpec] = None,
-) -> Fig5Result:
-    curves: Dict[float, Fig5Curve] = {}
-    for fraction in fractions:
-        aggregated = run_town_trials(
-            _factory(fraction),
+@register("fig5", Fig5Spec, summary="association success vs schedule fraction")
+def run_spec(spec: Fig5Spec) -> Fig5Result:
+    specs = [
+        TownTrialSpec(
+            factory=Fig5Factory(fraction),
             label=f"f6={fraction:.0%}",
-            seeds=seeds,
-            duration_s=duration_s,
-            town=town,
-            workers=workers,
-            transport=transport,
-            contention=contention,
+            seed=seed,
+            duration_s=spec.duration_s,
+            town=spec.town,
         )
+        for fraction in spec.fractions
+        for seed in spec.seeds
+    ]
+    per_label = aggregate_town_trials(specs, spec, strict=True)
+    curves: Dict[float, Fig5Curve] = {}
+    for fraction in spec.fractions:
         times: List[float] = []
         attempts = 0
-        for trial in aggregated.trials:
+        for trial in per_label[f"f6={fraction:.0%}"].trials:
             for a in trial.join_log.attempts:
                 if a.channel != PRIMARY_CHANNEL:
                     continue
@@ -158,36 +145,3 @@ def _run(
             fraction=fraction, association_times_s=times, attempts_on_primary=attempts
         )
     return Fig5Result(curves=curves)
-
-
-@register("fig5", Fig5Spec, summary="association success vs schedule fraction")
-def run_spec(spec: Fig5Spec) -> Fig5Result:
-    return _run(
-        spec.fractions,
-        spec.seeds,
-        spec.duration_s,
-        spec.town,
-        workers=spec.workers,
-        transport=spec.transport,
-        contention=spec.contention,
-    )
-
-
-def run(
-    fractions: Sequence[float] = (0.25, 0.50, 0.75, 1.0),
-    seeds: Sequence[int] = (0, 1),
-    duration_s: float = 240.0,
-    town: str = "amherst",
-) -> Fig5Result:
-    """Deprecated shim: execute the experiment and return its result."""
-    warn_deprecated("fig5_association.run(...)", "run_spec(Fig5Spec(...))")
-    return _run(fractions, seeds, duration_s, town)
-
-
-def main() -> None:
-    """Command-line entry point."""
-    print(run_spec().unwrap().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -10,7 +10,7 @@ the RTO floor, costs retransmission timeouts and slow-start restarts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from ..analysis.ascii_plot import sparkline
 from ..analysis.reporting import format_series
@@ -20,10 +20,10 @@ from ..core.spider import SpiderClient
 from ..sim.engine import Simulator
 from ..sim.tcp import TcpParams
 from ..workloads.town import lab_topology
-from .api import ExperimentSpec, register, warn_deprecated
+from .api import ExperimentSpec, register
 from .fig5_association import schedule_for_fraction
 
-__all__ = ["Fig7Spec", "Fig7Result", "run", "run_spec", "main", "measure_lab_throughput"]
+__all__ = ["Fig7Spec", "Fig7Result", "run_spec", "measure_lab_throughput"]
 
 PERIOD_S = 0.4
 PRIMARY_CHANNEL = 6
@@ -114,56 +114,18 @@ class Fig7Spec(ExperimentSpec):
     measure_s: float = MEASURE_S
 
 
-def _run(
-    fractions: Sequence[float],
-    backhaul_bps: float,
-    seed: int,
-    measure_s: float,
-    transport=None,
-    contention=None,
-) -> Fig7Result:
+@register("fig7", Fig7Spec, summary="TCP throughput vs primary-channel fraction")
+def run_spec(spec: Fig7Spec) -> Fig7Result:
     throughputs = []
-    for fraction in fractions:
+    for fraction in spec.fractions:
         mode = schedule_for_fraction(fraction, period_s=PERIOD_S)
         bps = measure_lab_throughput(
             mode,
-            backhaul_bps=backhaul_bps,
-            seed=seed,
-            measure_s=measure_s,
-            transport=transport,
-            contention=contention,
+            backhaul_bps=spec.backhaul_bps,
+            seed=spec.seed,
+            measure_s=spec.measure_s,
+            transport=spec.transport,
+            contention=spec.contention,
         )
         throughputs.append(bps / 1e3)
-    return Fig7Result(fractions=list(fractions), throughput_kbps=throughputs)
-
-
-@register("fig7", Fig7Spec, summary="TCP throughput vs primary-channel fraction")
-def run_spec(spec: Fig7Spec) -> Fig7Result:
-    return _run(
-        spec.fractions,
-        spec.backhaul_bps,
-        spec.seed,
-        spec.measure_s,
-        transport=spec.transport,
-        contention=spec.contention,
-    )
-
-
-def run(
-    fractions: Sequence[float] = (0.1, 0.25, 0.4, 0.5, 0.65, 0.8, 1.0),
-    backhaul_bps: float = 5.0e6,
-    seed: int = 0,
-    measure_s: float = MEASURE_S,
-) -> Fig7Result:
-    """Deprecated shim: execute the experiment and return its result."""
-    warn_deprecated("fig7_tcp_fraction.run(...)", "run_spec(Fig7Spec(...))")
-    return _run(fractions, backhaul_bps, seed, measure_s)
-
-
-def main() -> None:
-    """Command-line entry point."""
-    print(run_spec().unwrap().render())
-
-
-if __name__ == "__main__":
-    main()
+    return Fig7Result(fractions=list(spec.fractions), throughput_kbps=throughputs)

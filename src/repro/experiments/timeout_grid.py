@@ -3,8 +3,9 @@
 All three artifacts come from the same kind of drive: Spider with seven
 interfaces, a channel schedule, and a (link-layer timeout, DHCP timeout)
 pair, measuring join outcomes rather than traffic.  This module defines the
-configuration grid once and runs it once; the per-artifact modules then
-slice the result.
+configuration grid once; each per-artifact module runs the cells it reads.
+Cells they share become identical trial specs, so with the trial cache on
+each drive is simulated once.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from typing import Dict, Optional, Sequence
 from ..core.link_manager import SpiderConfig
 from ..core.schedule import OperationMode
 from ..core.spider import ORTHOGONAL_CHANNELS, SpiderClient
-from ..sim.cc import TransportSpec
-from ..sim.contention import ContentionSpec
+from .api import ExperimentSpec
 from .common import AggregatedMetrics, TownTrialSpec, aggregate_town_trials
 
 __all__ = ["TimeoutConfig", "run_grid", "STANDARD_GRID"]
@@ -94,24 +94,16 @@ class _GridFactory:
         )
 
 
-def _factory(config: TimeoutConfig):
-    return _GridFactory(config)
-
-
 def run_grid(
-    labels: Optional[Sequence[str]] = None,
-    seeds: Sequence[int] = (0, 1),
-    duration_s: float = 300.0,
-    town: str = "amherst",
-    workers: Optional[int] = None,
-    transport: Optional[TransportSpec] = None,
-    contention: Optional[ContentionSpec] = None,
+    spec: ExperimentSpec, labels: Optional[Sequence[str]] = None
 ) -> Dict[str, AggregatedMetrics]:
-    """Run the selected grid cells and return join-log aggregates.
+    """Run the selected grid cells over ``spec.seeds``; join-log aggregates.
 
     All ``cell x seed`` drives are fanned out as one batch (see
     :mod:`repro.runner`); results regroup per cell in seed order, so the
-    parallel grid is bit-identical to the serial one.
+    parallel grid is bit-identical to the serial one.  The spec's run
+    options reach every trial through
+    :func:`~repro.experiments.common.aggregate_town_trials`.
     """
     selected = labels if labels is not None else list(STANDARD_GRID)
     specs = [
@@ -119,12 +111,10 @@ def run_grid(
             factory=_GridFactory(STANDARD_GRID[label]),
             label=label,
             seed=seed,
-            duration_s=duration_s,
-            town=town,
-            transport=transport,
-            contention=contention,
+            duration_s=spec.duration_s,
+            town=spec.town,
         )
         for label in selected
-        for seed in seeds
+        for seed in spec.seeds
     ]
-    return aggregate_town_trials(specs, workers=workers)
+    return aggregate_town_trials(specs, spec)

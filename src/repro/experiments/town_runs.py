@@ -2,9 +2,9 @@
 
 One place defines the client factories for the four Spider configurations,
 the stock-MadWiFi baseline, and the Cambridge variants; Table 2, Figs.
-11-13, Table 4, and Figs. 16-17 all consume the same runs so their numbers
+11-13 and Figs. 16-17 all build the same trials from them, so their numbers
 are mutually consistent (as they are in the paper, which derives them from
-the same drives).
+the same drives) and, with the trial cache on, computed once.
 """
 
 from __future__ import annotations
@@ -15,12 +15,11 @@ from typing import Dict, List, Optional, Sequence
 from ..core.link_manager import SpiderConfig
 from ..core.schedule import OperationMode
 from ..core.spider import ORTHOGONAL_CHANNELS, SpiderClient
-from ..sim.cc import TransportSpec
-from ..sim.contention import ContentionSpec
 from ..sim.engine import Simulator
 from ..sim.mobility import MobilityModel
 from ..sim.stock_client import StockClient
 from ..sim.world import World
+from .api import ExperimentSpec
 from .common import (
     AggregatedMetrics,
     ClientFactory,
@@ -159,22 +158,20 @@ class ConfigurationSuite:
 
 
 def run_configuration_suite(
-    seeds: Sequence[int] = (0, 1),
-    duration_s: float = 300.0,
+    spec: ExperimentSpec,
     include_cambridge: bool = True,
     labels: Optional[Sequence[str]] = None,
-    workers: Optional[int] = None,
-    telemetry: Optional[bool] = None,
-    transport: Optional[TransportSpec] = None,
-    contention: Optional[ContentionSpec] = None,
 ) -> ConfigurationSuite:
-    """Run the whole configuration grid (the expensive shared step).
+    """Run the configuration grid over ``spec.seeds`` (the expensive step).
 
     The full ``configuration x seed`` grid is flattened into one batch so
     the worker pool balances across all of it; results are regrouped per
     label in seed order, making the parallel suite bit-identical to the
-    serial one.  ``telemetry=True`` captures a :mod:`repro.obs` snapshot
-    per trial (riding the returned metrics, never perturbing them).
+    serial one.  The spec's run options reach every trial through
+    :func:`~repro.experiments.common.aggregate_town_trials`.  Table 2,
+    Figs. 11-13 and Figs. 16-17 build identical trial specs for the
+    configurations they share, so with the trial cache on they share the
+    drives too.
     """
     factories: Dict[str, tuple] = {
         label: (factory, "amherst")
@@ -194,13 +191,14 @@ def run_configuration_suite(
             factory=factory,
             label=label,
             seed=seed,
-            duration_s=duration_s,
+            duration_s=spec.duration_s,
             town=town,
         )
         for label, (factory, town) in factories.items()
-        for seed in seeds
+        for seed in spec.seeds
     ]
-    results = aggregate_town_trials(
-        specs, workers=workers, telemetry=telemetry, transport=transport
+    return ConfigurationSuite(
+        results=aggregate_town_trials(specs, spec),
+        duration_s=spec.duration_s,
+        seeds=spec.seeds,
     )
-    return ConfigurationSuite(results=results, duration_s=duration_s, seeds=seeds)

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from repro.cache import resolve_cache
 from repro.experiments import (
     ap_density,
     appendix_knapsack,
@@ -26,126 +27,169 @@ from repro.experiments import (
     table2_configs,
     table3_dhcp_failures,
     table4_channels,
-    timeout_grid,
     transport_matrix,
 )
 
 
 class TestAnalyticalExperiments:
     def test_fig2(self):
-        result = fig2_join_validation.run(
-            beta_maxes_s=(5.0,), fractions=(0.25, 0.75), runs=4, trials_per_run=40
-        )
+        result = fig2_join_validation.run_spec(
+            fig2_join_validation.Fig2Spec(
+                beta_maxes_s=(5.0,), fractions=(0.25, 0.75), runs=4, trials_per_run=40
+            )
+        ).unwrap()
         assert result.max_model_sim_gap() < 0.2
-        assert "Fig2" in result.render()
+        text = result.render()
+        assert "Fig2" in text and "max |model - sim|" in text
 
     def test_fig3(self):
-        result = fig3_beta_sensitivity.run(
-            fractions=(0.25, 0.5), beta_maxes_s=(1.0, 5.0, 10.0)
-        )
+        result = fig3_beta_sensitivity.run_spec(
+            fig3_beta_sensitivity.Fig3Spec(
+                fractions=(0.25, 0.5), beta_maxes_s=(1.0, 5.0, 10.0)
+            )
+        ).unwrap()
         for fraction, curve in result.curves.items():
             assert curve == sorted(curve, reverse=True), fraction
         assert "Fig3" in result.render()
 
     def test_fig4(self):
-        result = fig4_optimal_schedule.run(
-            scenarios={"75/25": (0.75, 0.25)}, speeds_mps=(2.5, 20.0), grid_steps=8
-        )
-        scenario = result.scenarios[0]
-        assert scenario.ch2_bandwidth_bps[0] >= scenario.ch2_bandwidth_bps[-1]
+        result = fig4_optimal_schedule.run_spec(
+            fig4_optimal_schedule.Fig4Spec(speeds_mps=(5.0, 20.0), grid_steps=8)
+        ).unwrap()
+        for scenario in result.scenarios:
+            assert scenario.ch2_bandwidth_bps[0] >= scenario.ch2_bandwidth_bps[-1]
         assert "dividing speed" in result.render()
 
     def test_appendix_knapsack(self):
-        result = appendix_knapsack.run(sizes=(4, 8), brute_force_limit=8)
+        result = appendix_knapsack.run_spec(
+            appendix_knapsack.KnapsackSpec(sizes=(4, 8), brute_force_limit=8)
+        ).unwrap()
         assert 0.5 <= result.greedy_optimality_ratio() <= 1.0
-        assert "Appendix A" in result.render()
+        text = result.render()
+        assert "Appendix A" in text and "greedy/optimal worst ratio" in text
 
 
 class TestSimulatorExperiments:
     def test_fig5(self):
-        result = fig5_association.run(fractions=(1.0,), seeds=(0,), duration_s=80.0)
+        result = fig5_association.run_spec(
+            fig5_association.Fig5Spec(fractions=(1.0,), seeds=(0,), duration_s=80.0)
+        ).unwrap()
         curve = result.curves[1.0]
         assert curve.attempts_on_primary >= 0
         assert "Fig5" in result.render()
 
     def test_fig6(self):
         configs = (fig6_dhcp.PAPER_CONFIGS[2],)  # 100% - 100ms only
-        result = fig6_dhcp.run(configs=configs, seeds=(0,), duration_s=80.0)
+        result = fig6_dhcp.run_spec(
+            fig6_dhcp.Fig6Spec(configs=configs, seeds=(0,), duration_s=80.0)
+        ).unwrap()
         assert "Fig6" in result.render()
 
     def test_fig7(self):
-        result = fig7_tcp_fraction.run(fractions=(1.0,), measure_s=10.0)
+        result = fig7_tcp_fraction.run_spec(
+            fig7_tcp_fraction.Fig7Spec(fractions=(1.0,), measure_s=10.0)
+        ).unwrap()
         assert result.throughput_kbps[0] > 100.0
 
     def test_fig8(self):
-        result = fig8_tcp_dwell.run(dwells_ms=(100.0,), measure_s=10.0)
+        result = fig8_tcp_dwell.run_spec(
+            fig8_tcp_dwell.Fig8Spec(dwells_ms=(100.0,), measure_s=10.0)
+        ).unwrap()
         assert len(result.throughput_kbps) == 1
+        assert "non-monotonic: False" in result.render()
 
     def test_table1(self):
-        result = table1_switch_latency.run(interface_counts=(0, 2), switches=6)
+        result = table1_switch_latency.run_spec(
+            table1_switch_latency.Table1Spec(interface_counts=(0, 2), switches=6)
+        ).unwrap()
         assert result.latency_is_increasing()
         assert result.rows[0].mean_ms > 4.0
 
     def test_fig10(self):
-        result = fig10_micro.run(
-            backhauls_mbps=(1.0,),
-            labels=("one card, stock", "Spider (100,0,0)"),
-            seeds=(0,),
-            measure_s=10.0,
-        )
+        result = fig10_micro.run_spec(
+            fig10_micro.Fig10Spec(
+                backhauls_mbps=(1.0,),
+                labels=("one card, stock", "Spider (100,0,0)"),
+                seeds=(0,),
+                measure_s=10.0,
+            )
+        ).unwrap()
         assert set(result.throughput_kBps) == {"one card, stock", "Spider (100,0,0)"}
 
-    def test_timeout_grid_and_consumers(self):
-        grid = timeout_grid.run_grid(
-            labels=("ch1, ll=100ms, dhcp=200ms, 7if",), seeds=(0,), duration_s=60.0
+    def test_timeout_grid_and_consumers(self, tmp_path):
+        """Table 3 simulates the cell; Figs. 14 and 15 replay it from the
+        trial cache."""
+        shared = dict(
+            labels=("ch1, ll=100ms, dhcp=200ms, 7if",),
+            seeds=(0,),
+            duration_s=60.0,
+            cache=True,
+            cache_dir=str(tmp_path),
         )
-        t3 = table3_dhcp_failures.run(
-            labels=("ch1, ll=100ms, dhcp=200ms, 7if",), grid=grid
-        )
+        store = resolve_cache(True, str(tmp_path))
+        t3 = table3_dhcp_failures.run_spec(
+            table3_dhcp_failures.Table3Spec(**shared)
+        ).unwrap()
         assert len(t3.rows) == 1
-        f14 = fig14_join_timeouts.run(
-            labels=("ch1, ll=100ms, dhcp=200ms, 7if",), grid=grid
-        )
+        assert store.stats["misses"] == 1
+        f14 = fig14_join_timeouts.run_spec(
+            fig14_join_timeouts.Fig14Spec(**shared)
+        ).unwrap()
         assert "Fig14" in f14.render()
-        f15 = fig15_join_policies.run(
-            labels=("ch1, ll=100ms, dhcp=200ms, 7if",), grid=grid
-        )
+        f15 = fig15_join_policies.run_spec(
+            fig15_join_policies.Fig15Spec(**shared)
+        ).unwrap()
         assert "Fig15" in f15.render()
+        assert "fastest policy" in f15.render()
+        assert (store.stats["hits"], store.stats["misses"]) == (2, 1)
 
 
 class TestSuiteConsumers:
-    @pytest.fixture(scope="class")
-    def suite(self):
-        from repro.experiments.town_runs import run_configuration_suite
-        from repro.experiments.fig11_13_cdfs import FOUR_CONFIGS
+    """Table 2 and Figs. 11-13/16-17 read the same drives: whichever runs
+    first simulates them, the others replay them from the trial cache."""
 
-        return run_configuration_suite(
-            seeds=(0,), duration_s=120.0, include_cambridge=False, labels=FOUR_CONFIGS
+    @pytest.fixture(scope="class")
+    def suite(self, tmp_path_factory):
+        return dict(
+            seeds=(0,),
+            duration_s=120.0,
+            cache=True,
+            cache_dir=str(tmp_path_factory.mktemp("suite_cache")),
         )
 
     def test_table2_from_suite(self, suite):
-        result = table2_configs.run(suite=suite)
-        assert len(result.rows) == 4
+        result = table2_configs.run_spec(
+            table2_configs.Table2Spec(include_cambridge=False, **suite)
+        ).unwrap()
+        assert len(result.rows) == 5  # the four configurations + MadWiFi
         assert result.multi_ap_gain() > 0
-        assert "Table 2" in result.render()
+        text = result.render()
+        assert "Table 2" in text
+        assert "multi-AP gain (1)/(2)" in text and "best connectivity" in text
 
     def test_fig11_13_from_suite(self, suite):
-        result = fig11_13_cdfs.run(suite=suite)
+        result = fig11_13_cdfs.run_spec(fig11_13_cdfs.Fig11to13Spec(**suite)).unwrap()
         assert set(result.connection_durations) == set(fig11_13_cdfs.FOUR_CONFIGS)
         assert "Fig 12" in result.render()
 
     def test_fig16_17_from_suite(self, suite):
-        result = fig16_17_usability.run(suite=suite)
+        result = fig16_17_usability.run_spec(
+            fig16_17_usability.UsabilitySpec(**suite)
+        ).unwrap()
         assert result.user_connection_durations
         assert 0.0 <= result.supply_covers_demand_fraction() <= 1.0
-        assert "Fig 17" in result.render()
+        text = result.render()
+        assert "Fig 17" in text and "user flows covered" in text
 
 
 class TestStandaloneTownExperiments:
     def test_table4(self):
-        result = table4_channels.run(seeds=(0,), duration_s=100.0)
+        result = table4_channels.run_spec(
+            table4_channels.Table4Spec(seeds=(0,), duration_s=100.0)
+        ).unwrap()
         assert len(result.rows) == 3
-        assert "Table 4" in result.render()
+        text = result.render()
+        assert "Table 4" in text and "wins throughput" in text
 
     def test_transport_matrix(self):
         from repro.experiments.town_runs import CONFIG_MULTI_CH_SINGLE_AP
@@ -165,7 +209,7 @@ class TestStandaloneTownExperiments:
         assert result.split_gain(CONFIG_MULTI_CH_SINGLE_AP, "bbr") >= 0.0
         text = result.render()
         assert "split=on" in text and "split=off" in text
-        assert "Transport matrix" in text
+        assert "Transport matrix" in text and "best cell" in text
 
     def test_transport_matrix_rejects_unknown_policy(self):
         from repro.runner.pool import TrialError
@@ -177,7 +221,9 @@ class TestStandaloneTownExperiments:
             transport_matrix.run_spec(spec).unwrap()
 
     def test_ap_density(self):
-        result = ap_density.run(towns=("amherst",), seeds=(0,), duration_s=100.0)
+        result = ap_density.run_spec(
+            ap_density.DensitySpec(towns=("amherst",), seeds=(0,), duration_s=100.0)
+        ).unwrap()
         row = result.rows[0]
         assert row.ap_count > 0
         shares = sum(row.link_share.values())

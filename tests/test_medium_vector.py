@@ -99,6 +99,7 @@ def trace_of(stations):
 
 class TestEnvironmentToggle:
     def test_default_is_vectorized(self, monkeypatch):
+        pytest.importorskip("numpy")
         monkeypatch.delenv(VECTOR_ENV, raising=False)
         assert _vector_enabled_from_env()
         assert Medium(Simulator(seed=0)).vector_delivery
@@ -110,6 +111,7 @@ class TestEnvironmentToggle:
         assert not Medium(Simulator(seed=0)).vector_delivery
 
     def test_explicit_argument_wins_over_env(self, monkeypatch):
+        pytest.importorskip("numpy")
         monkeypatch.setenv(VECTOR_ENV, "0")
         assert Medium(Simulator(seed=0), vector_delivery=True).vector_delivery
 

@@ -18,6 +18,7 @@ from unittest import mock
 import pytest
 
 from repro.core.schedule import OperationMode
+from repro.experiments.api import ExperimentSpec
 from repro.experiments.common import (
     TownTrialSpec,
     run_town_trial_envelopes,
@@ -322,14 +323,17 @@ class TestParallelDeterminism:
         )
 
         labels = [CONFIG_CH1_SINGLE_AP, CONFIG_STOCK]
-        kwargs = dict(
-            seeds=(0, 1),
-            duration_s=SHORT_TRIAL_S,
-            include_cambridge=False,
-            labels=labels,
-        )
-        serial = run_configuration_suite(workers=1, **kwargs)
-        parallel = run_configuration_suite(workers=4, **kwargs)
+
+        def suite(workers):
+            spec = ExperimentSpec(
+                seeds=(0, 1), duration_s=SHORT_TRIAL_S, workers=workers
+            )
+            return run_configuration_suite(
+                spec, include_cambridge=False, labels=labels
+            )
+
+        serial = suite(1)
+        parallel = suite(4)
         assert serial.labels() == parallel.labels() == labels
         for label in labels:
             for s_trial, p_trial in zip(
@@ -341,12 +345,15 @@ class TestParallelDeterminism:
         from repro.experiments.timeout_grid import run_grid
 
         labels = ["ch1, ll=100ms, dhcp=200ms, 7if"]
-        serial = run_grid(
-            labels=labels, seeds=(0, 1), duration_s=SHORT_TRIAL_S, workers=1
-        )
-        parallel = run_grid(
-            labels=labels, seeds=(0, 1), duration_s=SHORT_TRIAL_S, workers=4
-        )
+
+        def grid(workers):
+            spec = ExperimentSpec(
+                seeds=(0, 1), duration_s=SHORT_TRIAL_S, workers=workers
+            )
+            return run_grid(spec, labels)
+
+        serial = grid(1)
+        parallel = grid(4)
         for label in labels:
             for s_trial, p_trial in zip(
                 serial[label].trials, parallel[label].trials
@@ -354,11 +361,11 @@ class TestParallelDeterminism:
                 _assert_trials_identical(s_trial, p_trial)
 
     def test_fleet_parallel_matches_serial(self):
-        from repro.experiments.fleet import run as run_fleet
+        from repro.experiments.fleet import FleetSpec, run_spec
 
         kwargs = dict(fleet_sizes=(1, 2), seeds=(0,), duration_s=SHORT_TRIAL_S)
-        serial = run_fleet(workers=1, **kwargs)
-        parallel = run_fleet(workers=4, **kwargs)
+        serial = run_spec(FleetSpec(workers=1, **kwargs)).unwrap()
+        parallel = run_spec(FleetSpec(workers=4, **kwargs)).unwrap()
         assert [
             (r.vehicles, r.per_vehicle_kBps, r.aggregate_kBps,
              r.mean_connectivity_pct)
@@ -370,11 +377,11 @@ class TestParallelDeterminism:
         ]
 
     def test_speed_sweep_parallel_matches_serial(self):
-        from repro.experiments.speed_sweep import run as run_sweep
+        from repro.experiments.speed_sweep import SpeedSweepSpec, run_spec
 
         kwargs = dict(speeds_mps=(6.0, 12.0), seeds=(0,), duration_s=SHORT_TRIAL_S)
-        serial = run_sweep(workers=1, **kwargs)
-        parallel = run_sweep(workers=4, **kwargs)
+        serial = run_spec(SpeedSweepSpec(workers=1, **kwargs)).unwrap()
+        parallel = run_spec(SpeedSweepSpec(workers=4, **kwargs)).unwrap()
         assert serial.series == parallel.series
         assert serial.speeds_mps == parallel.speeds_mps
 

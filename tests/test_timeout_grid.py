@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.api import ExperimentSpec
 from repro.experiments.timeout_grid import STANDARD_GRID, TimeoutConfig, run_grid
 
 
@@ -47,13 +48,15 @@ class TestGridDefinitions:
 class TestGridExecution:
     def test_selected_labels_only(self):
         grid = run_grid(
-            labels=("ch1, ll=100ms, dhcp=200ms, 7if",), seeds=(0,), duration_s=50.0
+            ExperimentSpec(seeds=(0,), duration_s=50.0),
+            ("ch1, ll=100ms, dhcp=200ms, 7if",),
         )
         assert set(grid) == {"ch1, ll=100ms, dhcp=200ms, 7if"}
 
     def test_results_carry_join_logs(self):
         grid = run_grid(
-            labels=("ch1, ll=100ms, dhcp=200ms, 7if",), seeds=(0,), duration_s=50.0
+            ExperimentSpec(seeds=(0,), duration_s=50.0),
+            ("ch1, ll=100ms, dhcp=200ms, 7if",),
         )
         metrics = grid["ch1, ll=100ms, dhcp=200ms, 7if"]
         assert metrics.trials[0].join_log is not None
