@@ -14,11 +14,6 @@ Measured workloads:
                          parallel, recording the wall-clock speedup
 * ``timeout_grid``     — two cells of the join-timeout grid
 * ``fleet``            — a two-vehicle shared-town drive
-* ``fleet_sharded``    — one fleet trial's vehicles sharded across workers,
-                         recording the wall-clock speedup and bit-equality
-                         (shard count is clamped to the machine's cores, so
-                         a 1-core CI box runs in-process at ~1.0x instead of
-                         paying pure process overhead)
 * ``cache_warm``       — the Table 2 suite cold then warm through the
                          content-addressed result cache, recording the
                          warm-over-cold speedup and byte-identity
@@ -300,44 +295,6 @@ def test_perf_telemetry_overhead(report):
     )
 
 
-def test_perf_fleet_sharded(report):
-    """Per-vehicle fleet sharding: wall-clock vs one process, same bits.
-
-    ``run_sharded`` clamps the shard count to the machine's cores (PR 5):
-    on a 1-core box the "sharded" run executes in-process and the honest
-    expectation is ~1.0x, not a speedup.  The recorded ``effective_shards``
-    says which regime this measurement is from.
-    """
-    from repro.experiments.fleet import _run_fleet, run_sharded_trial
-    from repro.runner.pool import _shard_capacity
-
-    vehicles = 4
-    duration = _duration()
-    t0 = time.perf_counter()
-    unsharded = _run_fleet(vehicles, seed=0, duration_s=duration, town_preset="amherst")
-    unsharded_wall = time.perf_counter() - t0
-    workers = max(bench_workers(), 2)
-    effective = min(workers, vehicles, _shard_capacity())
-    t0 = time.perf_counter()
-    sharded = run_sharded_trial(vehicles, seed=0, duration_s=duration, workers=workers)
-    sharded_wall = time.perf_counter() - t0
-    assert sharded == unsharded  # bit-for-bit merge, the PR-3 guarantee
-    _record(
-        "fleet_sharded",
-        vehicles=vehicles,
-        unsharded_wall_s=unsharded_wall,
-        sharded_wall_s=sharded_wall,
-        shard_workers=workers,
-        effective_shards=effective,
-        speedup=unsharded_wall / sharded_wall,
-        sharded_equal=True,
-    )
-    report("perf/fleet_sharded", json.dumps(_PERF["fleet_sharded"], indent=2))
-    if effective <= 1:
-        # In-process fallback: sharding must not cost process overhead.
-        assert sharded_wall <= unsharded_wall * 1.5
-
-
 def test_perf_cache_warm(report):
     """The Table 2 suite cold-then-warm through the result cache.
 
@@ -413,21 +370,23 @@ def test_perf_dense_town(report):
     (the ``telemetry_overhead`` bench uses the same reasoning).
     """
     import resource
-    from dataclasses import replace
 
     import pytest
 
     pytest.importorskip("numpy")
     from repro.experiments.dense_town import DenseTownSpec, run_dense_trial
+    from repro.sim import medium_vec
 
     spec = DenseTownSpec()  # city preset, 250 vehicles, 10 sim-seconds
     rounds = []
     for _ in range(2):
         t0 = time.perf_counter()
-        scalar_row = run_dense_trial(replace(spec, vector=False), seed=0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(medium_vec, "_np", None)  # the numpy-free scalar path
+            scalar_row = run_dense_trial(spec, seed=0)
         scalar_wall = time.perf_counter() - t0
         t0 = time.perf_counter()
-        vector_row = run_dense_trial(replace(spec, vector=True), seed=0)
+        vector_row = run_dense_trial(spec, seed=0)
         vector_wall = time.perf_counter() - t0
         assert vector_row == scalar_row, "vector path diverged from scalar"
         rounds.append((scalar_wall, vector_wall))
@@ -604,7 +563,7 @@ def test_perf_contention_dense_town(report):
     from repro.experiments.dense_town import DenseTownSpec, run_dense_trial
     from repro.sim.contention import ContentionSpec
 
-    spec = DenseTownSpec(duration_s=1.0, contention=ContentionSpec(), vector=True)
+    spec = DenseTownSpec(duration_s=1.0, contention=ContentionSpec())
     walls = []
     first = None
     for _ in range(5):

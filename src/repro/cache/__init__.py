@@ -47,8 +47,8 @@ counters; :meth:`TrialCache.snapshot` freezes them for export and
 :meth:`TrialCache.describe` renders the one-line summary the CLI prints.
 
 Enablement (first match wins): an explicit ``cache=`` argument to
-:func:`repro.runner.run_jobs` / :func:`~repro.runner.run_sharded`, the
-cache activated by the enclosing :func:`activate` context (how
+:func:`repro.runner.run_jobs`, the cache activated by the enclosing
+:func:`activate` context (how
 ``ExperimentSpec.cache`` and the ``--cache`` CLI flag plumb through), or
 the ``REPRO_CACHE`` environment variable.  The cache directory defaults to
 ``REPRO_CACHE_DIR`` or ``.repro_cache``.  The cache is **off** unless one

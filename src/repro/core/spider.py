@@ -22,7 +22,6 @@ from ..sim.engine import Simulator
 from ..sim.metrics import ThroughputRecorder
 from ..sim.mobility import MobilityModel
 from ..sim.nic import VirtualInterface, WifiNic
-from ..sim.tcp import TcpParams
 from ..sim.traffic import ClientFlow
 from ..sim.world import World
 from .driver import SpiderDriver
@@ -50,7 +49,6 @@ class SpiderClient:
         config: SpiderConfig,
         client_id: str = "spider",
         enable_traffic: bool = True,
-        tcp_params: Optional[TcpParams] = None,
         probe_interval_s: Optional[float] = 0.5,
         lock_channel_when_connected: bool = False,
     ):
@@ -58,7 +56,6 @@ class SpiderClient:
         self.world = world
         self.config = config
         self.enable_traffic = enable_traffic
-        self.tcp_params = tcp_params
         self.nic = WifiNic(
             sim,
             world.medium,
@@ -74,8 +71,8 @@ class SpiderClient:
         self.links_established = 0
         #: Per-client telemetry scope: every instrument/span this client
         #: (and its LMM/DHCP machinery) records is prefixed "<client_id>.",
-        #: which is what lets fleet shards extract one vehicle's slice of a
-        #: shared capture (TelemetrySnapshot.scoped).
+        #: which is what lets a fleet trial extract each vehicle's slice of
+        #: the shared capture (TelemetrySnapshot.scoped).
         self.obs = sim.telemetry.scope(client_id)
         self._obs_ttfb = self.obs.histogram("tcp.time_to_first_byte_s")
         #: §4.1 config (4): the multi-channel schedule is used for
@@ -147,7 +144,6 @@ class SpiderClient:
             self.world,
             iface,
             on_bytes=on_bytes,
-            tcp_params=self.tcp_params,
         )
 
     def _on_link_down(self, iface: VirtualInterface) -> None:

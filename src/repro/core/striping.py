@@ -29,7 +29,6 @@ from typing import Callable, Dict, List, Optional
 
 from ..sim.engine import Simulator
 from ..sim.nic import VirtualInterface
-from ..sim.tcp import TcpParams
 from ..sim.traffic import ClientFlow
 from ..sim.world import World
 
@@ -60,7 +59,6 @@ class StripedDownload:
         world: World,
         total_bytes: int,
         chunk_bytes: int = 256_000,
-        tcp_params: Optional[TcpParams] = None,
         on_complete: Optional[Callable[[float], None]] = None,
         on_bytes: Optional[Callable[[int], None]] = None,
     ):
@@ -70,7 +68,6 @@ class StripedDownload:
         self.world = world
         self.total_bytes = total_bytes
         self.chunk_bytes = chunk_bytes
-        self.tcp_params = tcp_params
         self.on_complete = on_complete
         self.on_bytes = on_bytes
         self.stripe_id = next(_stripe_ids)
@@ -167,7 +164,6 @@ class StripedDownload:
             self.world,
             iface,
             on_bytes=chunk_bytes_seen,
-            tcp_params=self.tcp_params,
             total_bytes=chunk.size,
         )
         self._active_flows[iface.index] = flow

@@ -80,9 +80,9 @@ class ExperimentSpec:
     #: Trial-result cache: ``True``/``False`` force it on/off, ``None``
     #: defers to the ``REPRO_CACHE`` environment variable.  The experiment
     #: registry activates the resolved :class:`repro.cache.TrialCache`
-    #: around the runner, so every trial fan-out underneath (including
-    #: sharded fleets) memoizes transparently.  Warm results — telemetry
-    #: snapshots included — are byte-identical to cold ones.
+    #: around the runner, so every trial fan-out underneath memoizes
+    #: transparently.  Warm results — telemetry snapshots included — are
+    #: byte-identical to cold ones.
     cache: Optional[bool] = None
     #: Cache directory (``None``: ``REPRO_CACHE_DIR`` or ``.repro_cache``).
     cache_dir: Optional[str] = None

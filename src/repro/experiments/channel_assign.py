@@ -39,19 +39,18 @@ refuses to run without a contention spec rather than report noise).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.ascii_plot import heatmap
 from ..analysis.reporting import format_table
-from ..core.link_manager import SpiderConfig
 from ..core.schedule import OperationMode
-from ..core.spider import SpiderClient
 from ..runner import TrialJob, run_jobs
 from ..sim.contention import ContentionSpec
 from ..sim.engine import Simulator
-from ..workloads.town import PRESETS, TownConfig, TownInstance, build_town
+from ..workloads.town import TownConfig, TownInstance, build_town
 from .api import ExperimentSpec, register
+from .common import check_fleet_inputs, fleet_totals, start_fleet, town_with_overrides
 
 __all__ = [
     "ChannelAssignSpec",
@@ -147,14 +146,12 @@ class ChannelAssignSpec(ExperimentSpec):
     loop_length_m: Optional[float] = None
     ap_density_per_km: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        check_fleet_inputs(self.n_vehicles, self.speed_mps, self.channels)
+
     def town_config(self) -> TownConfig:
-        config = PRESETS[self.town]
-        overrides = {
-            name: value
-            for name in ("loop_length_m", "ap_density_per_km")
-            if (value := getattr(self, name)) is not None
-        }
-        return replace(config, **overrides) if overrides else config
+        """The preset with this spec's overrides applied."""
+        return town_with_overrides(self, ("loop_length_m", "ap_density_per_km"))
 
 
 @dataclass
@@ -296,20 +293,8 @@ def run_assign_trial(
     )
     channel_map = apply_strategy(town, strategy, spec.channels)
     mode = _policy_mode(policy, spec.channels)
-    spacing = town.config.loop_length_m / max(spec.n_vehicles, 1)
-    clients = []
-    for index in range(spec.n_vehicles):
-        mobility = town.make_vehicle_mobility(
-            spec.speed_mps, start_arc_m=index * spacing
-        )
-        config = SpiderConfig.spider_defaults(mode, num_interfaces=7)
-        client = SpiderClient(
-            sim, town.world, mobility, config, client_id=f"veh{index}"
-        )
-        client.start()
-        clients.append(client)
+    clients = start_fleet(town, spec.n_vehicles, spec.speed_mps, mode)
     sim.run(until=spec.duration_s)
-    n = max(spec.n_vehicles, 1)
     medium = town.world.medium
     state = medium.contention
     span = max(spec.duration_s, 1e-9)
@@ -319,14 +304,7 @@ def run_assign_trial(
         seed=seed,
         ap_count=len(town.aps),
         channel_map=channel_map,
-        join_attempts=sum(len(c.join_log.attempts) for c in clients),
-        joins_completed=sum(len(c.join_log.join_times()) for c in clients),
-        aggregate_kBps=sum(
-            c.average_throughput_kBps(spec.duration_s) for c in clients
-        ),
-        mean_connectivity_pct=sum(
-            c.connectivity_percent(spec.duration_s) for c in clients
-        ) / n,
+        **fleet_totals(clients, spec.duration_s)._asdict(),
         frames_collided=medium.frames_collided,
         collision_rate=state.collision_rate(),
         airtime_share_by_channel={

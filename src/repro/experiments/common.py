@@ -20,8 +20,21 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
+from ..core.link_manager import SpiderConfig
+from ..core.schedule import OperationMode
+from ..core.spider import SpiderClient
 from ..obs.telemetry import Telemetry, TelemetrySnapshot, merge_snapshots
 from ..runner import TrialJob, TrialResult, run_jobs, unwrap_all
 from ..sim.cc import TransportSpec
@@ -31,7 +44,7 @@ from ..sim.faults import FaultPlan, install_faults
 from ..sim.metrics import JoinLog
 from ..sim.mobility import MobilityModel
 from ..sim.world import World
-from ..workloads.town import TownConfig, build_town
+from ..workloads.town import PRESETS, TownConfig, TownInstance, build_town
 
 if TYPE_CHECKING:
     from .api import ExperimentSpec
@@ -48,6 +61,11 @@ __all__ = [
     "run_town_trial_envelopes",
     "salvage_town_trials",
     "aggregate_town_trials",
+    "FleetTotals",
+    "start_fleet",
+    "fleet_totals",
+    "check_fleet_inputs",
+    "town_with_overrides",
     "DEFAULT_TRIAL_DURATION_S",
     "DEFAULT_VEHICLE_SPEED_MPS",
 ]
@@ -151,6 +169,80 @@ def run_town_trial(
         events_processed=sim.events_processed,
         telemetry=tele.snapshot() if tele is not None else None,
     )
+
+
+def start_fleet(
+    town: TownInstance,
+    n_vehicles: int,
+    speed_mps: float,
+    mode: OperationMode,
+) -> List[SpiderClient]:
+    """Start ``n_vehicles`` Spider clients spaced evenly round ``town``'s loop.
+
+    Vehicle ``i`` (client id ``veh{i}``) starts ``i * loop / n`` metres
+    along the route with Spider's tuned defaults on ``mode``; each client
+    starts before the next is built.  The caller builds the town (and may
+    rewrite its channel map first) and runs the simulator.
+    """
+    sim = town.world.sim
+    spacing = town.config.loop_length_m / n_vehicles
+    clients = []
+    for index in range(n_vehicles):
+        mobility = town.make_vehicle_mobility(speed_mps, start_arc_m=index * spacing)
+        config = SpiderConfig.spider_defaults(mode, num_interfaces=7)
+        client = SpiderClient(
+            sim, town.world, mobility, config, client_id=f"veh{index}"
+        )
+        client.start()
+        clients.append(client)
+    return clients
+
+
+class FleetTotals(NamedTuple):
+    """The per-client sums every fleet row reports."""
+
+    join_attempts: int
+    joins_completed: int
+    aggregate_kBps: float
+    mean_connectivity_pct: float
+
+
+def fleet_totals(clients: Sequence[SpiderClient], duration_s: float) -> FleetTotals:
+    """Fold a driven fleet into its totals, summing in vehicle order."""
+    return FleetTotals(
+        join_attempts=sum(len(c.join_log.attempts) for c in clients),
+        joins_completed=sum(len(c.join_log.join_times()) for c in clients),
+        aggregate_kBps=sum(c.average_throughput_kBps(duration_s) for c in clients),
+        mean_connectivity_pct=sum(
+            c.connectivity_percent(duration_s) for c in clients
+        ) / len(clients),
+    )
+
+
+def check_fleet_inputs(
+    n_vehicles: int, speed_mps: float, channels: Sequence[int]
+) -> None:
+    """Reject a fleet drive that cannot run, before any trial is dispatched."""
+    if n_vehicles < 1:
+        raise ValueError(f"n_vehicles must be at least 1, got {n_vehicles!r}")
+    if speed_mps < 0:
+        raise ValueError(f"speed_mps must be non-negative, got {speed_mps!r}")
+    if not channels:
+        raise ValueError("channels must name at least one channel")
+
+
+def town_with_overrides(spec: "ExperimentSpec", names: Sequence[str]) -> TownConfig:
+    """``spec.town``'s preset with each of ``names`` that ``spec`` sets.
+
+    A spec field left at ``None`` keeps the preset's value.
+    """
+    config = PRESETS[spec.town]
+    overrides = {
+        name: value
+        for name in names
+        if (value := getattr(spec, name)) is not None
+    }
+    return replace(config, **overrides) if overrides else config
 
 
 @dataclass

@@ -13,30 +13,24 @@ hundreds of vehicles.  It exists for two reasons:
   throughput/connectivity), so scalar-vs-vector runs of the same spec
   must produce byte-identical JSON and telemetry exports.
 
-``DenseTownSpec.vector`` picks the delivery path (``None`` defers to the
-``REPRO_MEDIUM_VECTOR`` environment toggle); the optional town-override
-fields let property tests draw random dense worlds without registering
-ad-hoc presets.
+The optional town-override fields let property tests draw random dense
+worlds without registering ad-hoc presets.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..analysis.reporting import format_table
-from ..core.link_manager import SpiderConfig
 from ..core.schedule import OperationMode
-from ..core.spider import SpiderClient
 from ..obs.telemetry import Telemetry, TelemetrySnapshot
 from ..runner import TrialJob, run_jobs
 from ..sim.engine import Simulator
-from ..sim.radio import VECTOR_ENV
-from ..workloads.town import PRESETS, TownConfig, build_town
+from ..workloads.town import TownConfig, build_town
 from .api import ExperimentSpec, register
+from .common import check_fleet_inputs, fleet_totals, start_fleet, town_with_overrides
 
 __all__ = [
     "DenseTownSpec",
@@ -70,24 +64,20 @@ class DenseTownSpec(ExperimentSpec):
     #: Spider's equal-split multi-channel schedule, the paper's operating
     #: point for the channel-assignment experiments.
     channels: Tuple[int, ...] = (1,)
-    #: Delivery path: ``True``/``False`` force the vectorized/scalar
-    #: medium, ``None`` defers to ``REPRO_MEDIUM_VECTOR``.
-    vector: Optional[bool] = None
     #: Town overrides (``None`` keeps the preset's value).
     loop_length_m: Optional[float] = None
     ap_density_per_km: Optional[float] = None
     loss_rate: Optional[float] = None
     clustered: Optional[bool] = None
 
+    def __post_init__(self) -> None:
+        check_fleet_inputs(self.n_vehicles, self.speed_mps, self.channels)
+
     def town_config(self) -> TownConfig:
         """The preset with this spec's overrides applied."""
-        config = PRESETS[self.town]
-        overrides = {
-            name: value
-            for name in ("loop_length_m", "ap_density_per_km", "loss_rate", "clustered")
-            if (value := getattr(self, name)) is not None
-        }
-        return replace(config, **overrides) if overrides else config
+        return town_with_overrides(
+            self, ("loop_length_m", "ap_density_per_km", "loss_rate", "clustered")
+        )
 
 
 @dataclass
@@ -165,28 +155,6 @@ class DenseTownResult:
         )
 
 
-@contextmanager
-def _vector_env(vector: Optional[bool]):
-    """Pin ``REPRO_MEDIUM_VECTOR`` for the trial body, then restore it.
-
-    The medium resolves its delivery path from the environment at
-    construction; pinning the variable around world construction is what
-    lets one process A/B the scalar and vectorized paths explicitly.
-    """
-    if vector is None:
-        yield
-        return
-    before = os.environ.get(VECTOR_ENV)
-    os.environ[VECTOR_ENV] = "1" if vector else "0"
-    try:
-        yield
-    finally:
-        if before is None:
-            del os.environ[VECTOR_ENV]
-        else:
-            os.environ[VECTOR_ENV] = before
-
-
 def run_dense_trial(
     spec: DenseTownSpec,
     seed: int,
@@ -207,49 +175,34 @@ def run_dense_trial(
     byte-identical across paths.
     """
     with_telemetry = spec.telemetry if telemetry is None else telemetry
-    with _vector_env(spec.vector):
-        tele = (
-            Telemetry(enabled=True, key=("dense_town", spec.n_vehicles, seed))
-            if with_telemetry
-            else None
-        )
-        sim = Simulator(seed=seed, telemetry=tele)
-        town = build_town(
-            sim,
-            config=spec.town_config(),
-            transport=spec.transport,
-            contention=spec.contention,
-        )
-        spacing = town.config.loop_length_m / max(spec.n_vehicles, 1)
-        clients = []
-        mode = (
-            OperationMode.single_channel(spec.channels[0])
-            if len(spec.channels) == 1
-            else OperationMode.equal_split(spec.channels, 0.4)
-        )
-        for index in range(spec.n_vehicles):
-            mobility = town.make_vehicle_mobility(
-                spec.speed_mps, start_arc_m=index * spacing
-            )
-            config = SpiderConfig.spider_defaults(mode, num_interfaces=7)
-            client = SpiderClient(
-                sim, town.world, mobility, config, client_id=f"veh{index}"
-            )
-            client.start()
-            clients.append(client)
-        t0 = time.process_time()
-        sim.run(until=spec.duration_s)
-        if timings is not None:
-            timings["sim_cpu_s"] = time.process_time() - t0
-    n = max(spec.n_vehicles, 1)
+    tele = (
+        Telemetry(enabled=True, key=("dense_town", spec.n_vehicles, seed))
+        if with_telemetry
+        else None
+    )
+    sim = Simulator(seed=seed, telemetry=tele)
+    town = build_town(
+        sim,
+        config=spec.town_config(),
+        transport=spec.transport,
+        contention=spec.contention,
+    )
+    mode = (
+        OperationMode.single_channel(spec.channels[0])
+        if len(spec.channels) == 1
+        else OperationMode.equal_split(spec.channels, 0.4)
+    )
+    clients = start_fleet(town, spec.n_vehicles, spec.speed_mps, mode)
+    t0 = time.process_time()
+    sim.run(until=spec.duration_s)
+    if timings is not None:
+        timings["sim_cpu_s"] = time.process_time() - t0
     medium = town.world.medium
     if tele is not None and medium.contention is not None:
         # Surface the per-AP/per-channel airtime-share and collision-rate
-        # gauges in the row's deterministic telemetry projection (the
-        # PR-4 "per-AP/channel airtime telemetry" hook).
+        # gauges in the row's deterministic telemetry projection.
         medium.contention.export_telemetry(spec.duration_s)
-    join_attempts = sum(len(c.join_log.attempts) for c in clients)
-    joins_completed = sum(len(c.join_log.join_times()) for c in clients)
+    totals = fleet_totals(clients, spec.duration_s)
     return DenseTownRow(
         seed=seed,
         ap_count=len(town.aps),
@@ -257,16 +210,9 @@ def run_dense_trial(
         events_processed=sim.events_processed,
         frames_delivered=medium.frames_delivered,
         frames_lost=medium.frames_lost,
-        aggregate_kBps=sum(
-            c.average_throughput_kBps(spec.duration_s) for c in clients
-        ),
-        mean_connectivity_pct=sum(
-            c.connectivity_percent(spec.duration_s) for c in clients
-        ) / n,
-        join_attempts=join_attempts,
-        joins_completed=joins_completed,
         frames_collided=medium.frames_collided,
         telemetry=tele.snapshot().deterministic() if tele is not None else None,
+        **totals._asdict(),
     )
 
 

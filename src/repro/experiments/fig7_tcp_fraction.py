@@ -18,7 +18,6 @@ from ..core.link_manager import SpiderConfig
 from ..core.schedule import OperationMode
 from ..core.spider import SpiderClient
 from ..sim.engine import Simulator
-from ..sim.tcp import TcpParams
 from ..workloads.town import lab_topology
 from .api import ExperimentSpec, register
 from .fig5_association import schedule_for_fraction
@@ -44,7 +43,6 @@ def measure_lab_throughput(
     measure_s: float = MEASURE_S,
     primary_channel: int = PRIMARY_CHANNEL,
     loss_rate: float = 0.02,
-    tcp_params: TcpParams = TcpParams(),
     num_aps: int = 1,
     wired_latency_s: float = LAB_WIRED_LATENCY_S,
     transport=None,
@@ -70,9 +68,7 @@ def measure_lab_throughput(
     # mode under test before the measurement window opens.
     join_mode = OperationMode.single_channel(primary_channel)
     config = SpiderConfig.spider_defaults(join_mode, num_interfaces=num_aps)
-    client = SpiderClient(
-        sim, world, mobility, config, client_id="lab", tcp_params=tcp_params
-    )
+    client = SpiderClient(sim, world, mobility, config, client_id="lab")
     client.start()
     join_deadline = sim.now + warmup_s
     while client.lmm.established_count < num_aps and sim.now < join_deadline:

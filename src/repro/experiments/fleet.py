@@ -12,26 +12,24 @@ different stations — but they split its backhaul).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..analysis.reporting import format_table
-from ..core.link_manager import SpiderConfig
 from ..core.schedule import OperationMode
-from ..core.spider import SpiderClient
 from ..obs.telemetry import Telemetry, TelemetrySnapshot
-from ..runner import ShardedJob, TrialJob, run_jobs, run_sharded
+from ..runner import TrialJob, run_jobs
 from ..sim.cc import TransportSpec
 from ..sim.contention import ContentionSpec
 from ..sim.engine import Simulator
 from ..workloads.town import build_town
 from .api import ExperimentSpec, register
+from .common import fleet_totals, start_fleet
 
 __all__ = [
     "FleetSpec",
     "FleetRow",
     "FleetResult",
     "run_spec",
-    "run_sharded_trial",
 ]
 
 
@@ -83,91 +81,6 @@ class FleetResult:
         )
 
 
-def _vehicle_stats(
-    vehicle_indices: Sequence[int],
-    n_vehicles: int,
-    seed: int,
-    duration_s: float,
-    town_preset: str,
-    telemetry: bool = False,
-    transport: Optional[TransportSpec] = None,
-    contention: Optional[ContentionSpec] = None,
-) -> List[Tuple]:
-    """Drive the full ``n_vehicles`` fleet, extract stats for a subset.
-
-    Vehicles interact through shared airtime, backhaul, and the LMM's
-    one-interface-per-AP rule, so *every* call simulates the complete
-    coupled fleet — the dynamics are a pure function of the seed.  A shard
-    replays the identical run and reads out only its own vehicles'
-    ``(throughput_kBps, connectivity_pct)`` pairs, which is what makes the
-    sharded merge bit-identical to a single-process run.
-
-    With ``telemetry=True`` each tuple gains a third element: the
-    vehicle's ``"veh{i}."``-scoped :class:`TelemetrySnapshot` slice of the
-    shared capture.  Because every shard replays the identical coupled
-    simulation, a vehicle's slice is the same no matter which shard
-    extracts it — so the concatenated sharded telemetry is byte-identical
-    to the single-process capture, vehicle for vehicle.
-    """
-    tele = (
-        Telemetry(enabled=True, key=("fleet", n_vehicles, seed))
-        if telemetry
-        else None
-    )
-    sim = Simulator(seed=seed, telemetry=tele)
-    town = build_town(sim, preset=town_preset, transport=transport, contention=contention)
-    spacing = town.config.loop_length_m / max(n_vehicles, 1)
-    clients = []
-    for index in range(n_vehicles):
-        mobility = town.make_vehicle_mobility(10.0, start_arc_m=index * spacing)
-        config = SpiderConfig.spider_defaults(
-            OperationMode.single_channel(1), num_interfaces=7
-        )
-        client = SpiderClient(
-            sim, town.world, mobility, config, client_id=f"veh{index}"
-        )
-        client.start()
-        clients.append(client)
-    sim.run(until=duration_s)
-    if tele is not None:
-        snap = tele.snapshot()
-        return [
-            (
-                clients[i].average_throughput_kBps(duration_s),
-                clients[i].connectivity_percent(duration_s),
-                snap.scoped(f"veh{i}."),
-            )
-            for i in vehicle_indices
-        ]
-    return [
-        (
-            clients[i].average_throughput_kBps(duration_s),
-            clients[i].connectivity_percent(duration_s),
-        )
-        for i in vehicle_indices
-    ]
-
-
-def _row_from_stats(n_vehicles: int, stats: Sequence[Tuple]) -> FleetRow:
-    """Fold per-vehicle ``(throughput, connectivity[, telemetry])`` tuples
-    into a row.
-
-    Sums run in vehicle order, so sharded (concatenated) and unsharded
-    stat lists produce bit-identical floats — and identical telemetry
-    tuples, when present.
-    """
-    throughputs = [s[0] for s in stats]
-    connectivities = [s[1] for s in stats]
-    snapshots = tuple(s[2] for s in stats if len(s) > 2) or None
-    return FleetRow(
-        vehicles=n_vehicles,
-        per_vehicle_kBps=sum(throughputs) / n_vehicles,
-        aggregate_kBps=sum(throughputs),
-        mean_connectivity_pct=sum(connectivities) / n_vehicles,
-        vehicle_telemetry=snapshots,
-    )
-
-
 def _run_fleet(
     n_vehicles: int,
     seed: int,
@@ -177,52 +90,35 @@ def _run_fleet(
     transport: Optional[TransportSpec] = None,
     contention: Optional[ContentionSpec] = None,
 ) -> FleetRow:
-    return _row_from_stats(
-        n_vehicles,
-        _vehicle_stats(
-            range(n_vehicles), n_vehicles, seed, duration_s, town_preset,
-            telemetry, transport, contention,
-        ),
-    )
+    """Drive the staggered ``n_vehicles`` fleet once and fold it into a row.
 
-
-def run_sharded_trial(
-    n_vehicles: int,
-    seed: int,
-    duration_s: float = 300.0,
-    town_preset: str = "amherst",
-    workers: Optional[int] = None,
-    timeout_s: Optional[float] = None,
-    retries: Optional[int] = None,
-    telemetry: bool = False,
-    transport: Optional[TransportSpec] = None,
-    contention: Optional[ContentionSpec] = None,
-) -> FleetRow:
-    """One fleet trial with its vehicles sharded across worker processes.
-
-    Each shard replays the same coupled simulation (same seed, all
-    ``n_vehicles`` present) and extracts metrics for its own contiguous
-    slice of vehicles; :func:`repro.runner.run_sharded` merges the slices
-    in vehicle order, so the returned row is bit-for-bit equal to
-    :func:`_run_fleet` under the same seed.  What sharding buys is the
-    runner's per-shard envelope machinery — timeout, retry, and crash
-    isolation at sub-trial granularity — and parallel metric extraction
-    for very large fleets; the replayed dynamics themselves are not
-    parallelized (that would decouple the vehicles and change the result).
+    Vehicles interact through shared airtime, backhaul, and the LMM's
+    one-interface-per-AP rule, so the whole fleet is one coupled
+    simulation, a pure function of the seed.  With ``telemetry=True`` the
+    row carries each vehicle's ``"veh{i}."``-scoped slice of the shared
+    capture, in vehicle order.
     """
-    job = ShardedJob(
-        fn=_vehicle_stats,
-        items=tuple(range(n_vehicles)),
-        args=(
-            n_vehicles, seed, duration_s, town_preset, telemetry, transport,
-            contention,
-        ),
-        tag=("fleet", n_vehicles, seed),
+    tele = (
+        Telemetry(enabled=True, key=("fleet", n_vehicles, seed))
+        if telemetry
+        else None
     )
-    envelope = run_sharded(
-        job, workers=workers, timeout_s=timeout_s, retries=retries
+    sim = Simulator(seed=seed, telemetry=tele)
+    town = build_town(sim, preset=town_preset, transport=transport, contention=contention)
+    clients = start_fleet(town, n_vehicles, 10.0, OperationMode.single_channel(1))
+    sim.run(until=duration_s)
+    snapshots = None
+    if tele is not None:
+        snap = tele.snapshot()
+        snapshots = tuple(snap.scoped(f"veh{i}.") for i in range(n_vehicles))
+    totals = fleet_totals(clients, duration_s)
+    return FleetRow(
+        vehicles=n_vehicles,
+        per_vehicle_kBps=totals.aggregate_kBps / n_vehicles,
+        aggregate_kBps=totals.aggregate_kBps,
+        mean_connectivity_pct=totals.mean_connectivity_pct,
+        vehicle_telemetry=snapshots,
     )
-    return _row_from_stats(n_vehicles, envelope.unwrap())
 
 
 @dataclass(frozen=True)
@@ -231,6 +127,11 @@ class FleetSpec(ExperimentSpec):
 
     seeds: Tuple[int, ...] = (0,)
     fleet_sizes: Tuple[int, ...] = (1, 2, 5)
+
+    def __post_init__(self) -> None:
+        for size in self.fleet_sizes:
+            if size < 1:
+                raise ValueError(f"fleet sizes must be at least 1, got {size!r}")
 
 
 @register("fleet", FleetSpec, summary="fleet scaling on one shared town")

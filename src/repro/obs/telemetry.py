@@ -4,7 +4,7 @@ This module is the core of the :mod:`repro.obs` subsystem.  It provides a
 :class:`Telemetry` registry that simulation components write into and an
 immutable :class:`TelemetrySnapshot` that travels inside the existing
 :class:`~repro.runner.TrialResult` envelopes, so per-trial observations
-survive the process-pool and fleet-shard fan-out and can be merged back
+survive the process-pool fan-out and can be merged back
 deterministically (same bit-for-bit discipline as the metric merges).
 
 Design constraints, in order of importance:
@@ -23,8 +23,8 @@ Design constraints, in order of importance:
    projections across process layouts.
 3. **Mergeability.**  Snapshots are frozen, picklable, and merge by simple
    algebra: counters and histograms sum, gauges take the high-water max,
-   spans/events concatenate in merge order.  Replica snapshots (fleet
-   shards re-simulating the same coupled world) deduplicate by ``key``.
+   spans/events concatenate in merge order.  Replica snapshots (captures
+   of the same trial, merged twice) deduplicate by ``key``.
 
 See :mod:`repro.obs.export` for JSON / Chrome ``trace_event`` output.
 """
@@ -270,7 +270,7 @@ class Telemetry:
     :class:`~repro.sim.engine.Simulator`); until one is bound via
     :meth:`bind_clock`, timestamps read 0.0.  ``key`` identifies the capture
     (e.g. ``("town", label, seed)``) and drives replica-deduplication when
-    snapshots from shards that re-simulated the same world are merged.
+    two captures of the same trial are merged.
     """
 
     def __init__(self, enabled: bool = True, key: Tuple = ()):
@@ -449,8 +449,8 @@ class Scope:
 
     Scopes are cheap and stateless; nesting concatenates prefixes
     (``tele.scope("veh0").scope("dhcp")`` writes ``veh0.dhcp.*``).  The
-    per-vehicle fleet capture relies on this: every shard re-simulates the
-    same coupled world, and a vehicle's telemetry is exactly the
+    per-vehicle fleet capture relies on this: the whole fleet shares one
+    registry, and a vehicle's telemetry is exactly the
     ``"veh{i}."``-prefixed slice of the global registry (see
     :meth:`TelemetrySnapshot.scoped`).
     """
@@ -624,9 +624,9 @@ def merge_snapshots(
     taken in submission order (``None`` entries — disabled captures — are
     skipped), counters and histogram buckets sum, gauges keep the maximum,
     and spans/events concatenate in input order.  Snapshots sharing a
-    non-empty ``key`` are *replicas* (fleet shards re-simulate the same
-    coupled world); only the first replica contributes, which is what makes
-    the sharded merge bit-identical to the single-process capture.
+    non-empty ``key`` are *replicas* (captures of the same trial); only the
+    first replica contributes, so merging a capture twice never
+    double-counts it.
     """
     counters: Dict[str, float] = {}
     nondet_counters: Dict[str, float] = {}

@@ -26,8 +26,9 @@ Contents:
   (:class:`TcpParams` fields) plus the CC/split selection, carried on
   ``ExperimentSpec`` and threaded through worlds and flows.
 
-``TcpParams`` lives here (re-exported from :mod:`repro.sim.tcp` for
-compatibility) so the sender module can depend on this one without cycles.
+``TcpParams`` is the controllers' internal view of a spec's numeric knobs
+(:meth:`TransportSpec.params`); TCP is configured through
+:class:`TransportSpec` alone.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ __all__ = [
 
 @dataclass
 class TcpParams:
-    """Tunable constants for a sender."""
+    """A sender's numeric TCP constants, as :meth:`TransportSpec.params` gives them."""
 
     mss: int = 1400
     initial_cwnd_segments: float = 2.0
@@ -348,17 +349,6 @@ class TransportSpec:
     def params(self) -> TcpParams:
         """The :class:`TcpParams` view of the numeric knobs."""
         return TcpParams(**{f: getattr(self, f) for f in _TCP_PARAM_FIELDS})
-
-    @classmethod
-    def from_params(
-        cls,
-        params: Optional[TcpParams],
-        cc: str = "reno",
-        split: bool = False,
-    ) -> "TransportSpec":
-        """Lift a legacy ``TcpParams`` (or None) into a spec."""
-        p = params or TcpParams()
-        return cls(cc=cc, split=split, **{f: getattr(p, f) for f in _TCP_PARAM_FIELDS})
 
     def controller(self) -> CongestionController:
         """A fresh controller instance for one sender."""

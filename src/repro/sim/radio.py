@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Protocol, Tuple
 
@@ -47,23 +46,10 @@ __all__ = [
     "Station",
     "Medium",
     "rssi_from_distance",
-    "VECTOR_ENV",
     "BACKLOG_WARN_S",
 ]
 
 logger = logging.getLogger(__name__)
-
-#: Environment variable disabling the numpy-backed delivery index (see
-#: :mod:`repro.sim.medium_vec`) when set to ``0``/``off``/``false``.  The
-#: vector path is semantics-preserving, so the toggle exists for A/B
-#: determinism tests, bisection, and perf comparisons — and the medium
-#: falls back to the scalar scan on its own when numpy is not installed.
-VECTOR_ENV = "REPRO_MEDIUM_VECTOR"
-
-
-def _vector_enabled_from_env() -> bool:
-    value = os.environ.get(VECTOR_ENV, "").strip().lower()
-    return value not in ("0", "off", "false", "no")
 
 #: Frame kinds that enjoy 802.11 link-layer retransmission (data plane).
 _RETRIED_KINDS = frozenset(
@@ -150,6 +136,10 @@ class Medium:
         Radio range (disk model); 100 m per the paper.
     loss_rate:
         i.i.d. per-delivery frame-loss probability ``h``.
+    vector_delivery:
+        Prefilter receivers with the numpy-backed index
+        (:mod:`repro.sim.medium_vec`) when numpy imports; ``False`` keeps
+        the scalar scan.  Both paths deliver byte-identically.
     """
 
     def __init__(
@@ -158,7 +148,7 @@ class Medium:
         data_rate_bps: float = 11e6,
         range_m: float = 100.0,
         loss_rate: float = 0.1,
-        vector_delivery: Optional[bool] = None,
+        vector_delivery: bool = True,
         contention: Optional[ContentionSpec] = None,
     ):
         # ``isfinite`` guards are explicit: ``nan`` slips through plain
@@ -235,8 +225,6 @@ class Medium:
         self._obs_vector_fallbacks = sim.telemetry.counter(
             "medium.vector_fallbacks", deterministic=False
         )
-        if vector_delivery is None:
-            vector_delivery = _vector_enabled_from_env()
         self._vec = None
         if vector_delivery:
             from .medium_vec import make_index

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import logging
 import math
-import warnings
 from typing import Callable, Dict, Optional
 
 from .cc import RenoCC, TcpParams, TransportSpec
@@ -65,7 +64,6 @@ class TcpSender:
         src_ip: str,
         dst_ip: str,
         transmit: Callable[[TcpSegment], None],
-        params: Optional[TcpParams] = None,
         total_bytes: Optional[int] = None,
         on_complete: Optional[Callable[[], None]] = None,
         transport: Optional[TransportSpec] = None,
@@ -76,14 +74,7 @@ class TcpSender:
         self.dst_ip = dst_ip
         self.transmit = transmit
         if transport is None:
-            if params is not None:
-                warnings.warn(
-                    "TcpSender(params=TcpParams(...)) is deprecated; pass "
-                    "transport=TransportSpec(...) instead",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            transport = TransportSpec.from_params(params)
+            transport = TransportSpec()
         self.transport = transport
         self.p = transport.params()
         self.cc = transport.controller()

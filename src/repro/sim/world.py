@@ -19,7 +19,7 @@ from .contention import ContentionSpec
 from .engine import Simulator
 from .frames import PING_FRAME_BYTES, FrameKind, TcpSegment
 from .radio import Medium
-from .tcp import TCP_HEADER_BYTES, TcpParams, TcpSender
+from .tcp import TCP_HEADER_BYTES, TcpSender
 
 __all__ = ["ServerHost", "World"]
 
@@ -45,16 +45,13 @@ class ServerHost:
         self,
         flow_id: str,
         client_ip: str,
-        params: Optional[TcpParams] = None,
         total_bytes: Optional[int] = None,
         on_complete: Optional[Callable[[], None]] = None,
         transport: Optional[TransportSpec] = None,
     ) -> TcpSender:
         """Start a bulk download toward ``client_ip`` and return the sender.
 
-        Transport selection: an explicit ``transport`` wins; otherwise the
-        world's transport supplies CC/split and a legacy ``params`` (if
-        given) overrides the numeric TCP knobs.  In split mode the flow is
+        ``transport`` defaults to the world's transport.  In split mode the flow is
         terminated by a :class:`~repro.sim.ap.SplitTcpProxy` at the
         client's AP, and ``on_complete`` keeps its end-to-end meaning (it
         fires when the *client* has ACKed every byte).
@@ -62,13 +59,7 @@ class ServerHost:
         if flow_id in self.flows:
             raise ValueError(f"duplicate flow id {flow_id!r}")
         if transport is None:
-            base = self.world.transport
-            if params is None:
-                transport = base
-            else:
-                transport = TransportSpec.from_params(
-                    params, cc=base.cc, split=base.split
-                )
+            transport = self.world.transport
 
         def transmit(segment: TcpSegment) -> None:
             """Hand a segment to the network."""

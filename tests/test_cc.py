@@ -215,9 +215,8 @@ class TestTransportSpec:
         assert isinstance(spec.controller(), RenoCC)
 
     def test_params_round_trip(self):
-        params = TcpParams(mss=1200, rto_min_s=0.3)
-        spec = TransportSpec.from_params(params, cc="bbr", split=True)
-        assert spec.params() == params
+        spec = TransportSpec(cc="bbr", split=True, mss=1200, rto_min_s=0.3)
+        assert spec.params() == TcpParams(mss=1200, rto_min_s=0.3)
         assert spec.cc == "bbr" and spec.split
 
     def test_rejects_unknown_cc(self):

@@ -871,6 +871,7 @@ from repro.core.schedule import OperationMode  # noqa: E402
 from repro.experiments.common import TownTrialSpec, run_town_trial_spec  # noqa: E402
 from repro.experiments.dense_town import DenseTownSpec, run_dense_trial  # noqa: E402
 from repro.experiments.town_runs import spider_factory  # noqa: E402
+from repro.sim import medium_vec  # noqa: E402
 from repro.sim.faults import ApFlap, DhcpStall, FaultPlan, RandomOutages  # noqa: E402
 
 #: Small-but-contended: dense enough that flights stack, deferrals fire
@@ -972,7 +973,9 @@ class TestTrialScaleOracleAgreement:
             loss_rate=loss_rate,
             clustered=clustered,
             telemetry=telemetry,
-            vector=vector,
             contention=ContentionSpec(),
         )
-        self._check(oracle_checked, spec, seed=seed)
+        with pytest.MonkeyPatch.context() as patch:
+            if not vector:
+                patch.setattr(medium_vec, "_np", None)
+            self._check(oracle_checked, spec, seed=seed)

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.channel_assign import ChannelAssignSpec
+from repro.experiments.dense_town import DenseTownSpec
 from repro.experiments.fleet import (
     FleetResult,
     FleetRow,
     FleetSpec,
-    _run_fleet,
-    run_sharded_trial,
     run_spec,
 )
 
@@ -62,16 +62,33 @@ class TestFleetPredicates:
         assert not collapsed.per_vehicle_declines_gracefully()
 
 
-class TestShardedFleetBitIdentity:
-    @pytest.mark.parametrize("n_vehicles", [1, 3])
-    def test_sharded_equals_unsharded(self, n_vehicles):
-        direct = _run_fleet(n_vehicles, seed=0, duration_s=60.0, town_preset="amherst")
-        sharded = run_sharded_trial(
-            n_vehicles, seed=0, duration_s=60.0, workers=2
-        )
-        assert sharded == direct  # dataclass equality: bit-for-bit floats
+class TestFleetInputs:
+    """A fleet drive that cannot run is refused when its spec is built,
+    not deep inside a worker (or, for an empty fleet, not at all)."""
 
-    def test_sharded_serial_equals_parallel(self):
-        serial = run_sharded_trial(3, seed=1, duration_s=60.0, workers=1)
-        parallel = run_sharded_trial(3, seed=1, duration_s=60.0, workers=3)
-        assert serial == parallel
+    @pytest.mark.parametrize(
+        "spec_cls, overrides",
+        [
+            (FleetSpec, {"fleet_sizes": (0,)}),
+            (FleetSpec, {"fleet_sizes": (2, -1)}),
+            (DenseTownSpec, {"n_vehicles": 0}),
+            (ChannelAssignSpec, {"n_vehicles": 0}),
+            (DenseTownSpec, {"channels": ()}),
+            (ChannelAssignSpec, {"channels": ()}),
+            (DenseTownSpec, {"speed_mps": -5.0}),
+            (ChannelAssignSpec, {"speed_mps": -5.0}),
+        ],
+        ids=[
+            "fleet-size-0",
+            "fleet-size-negative",
+            "dense-no-vehicles",
+            "assign-no-vehicles",
+            "dense-no-channels",
+            "assign-no-channels",
+            "dense-negative-speed",
+            "assign-negative-speed",
+        ],
+    )
+    def test_bad_input_fails_at_the_spec(self, spec_cls, overrides):
+        with pytest.raises(ValueError):
+            spec_cls(**overrides)

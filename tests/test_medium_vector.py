@@ -1,8 +1,8 @@
 """Unit tests for the vectorized delivery index (``repro.sim.medium_vec``).
 
-PR 6 added an array-backed candidate prefilter in front of the medium's
+The medium puts an array-backed candidate prefilter in front of its
 delivery scan.  These tests pin its contract at the unit level: the
-environment toggle that selects the implementation, the graceful scalar
+vector path is the default wherever numpy imports, the graceful scalar
 fallback (and its obs counter) when numpy is missing, the constructor's
 non-finite parameter validation, and — most importantly — byte-identical
 delivery traces between the scalar and vectorized paths across every
@@ -28,11 +28,7 @@ from repro.sim.mobility import (
     StaticPosition,
     VariableSpeedLoopMobility,
 )
-from repro.sim.radio import (
-    VECTOR_ENV,
-    Medium,
-    _vector_enabled_from_env,
-)
+from repro.sim.radio import Medium
 
 
 class RecordingStation:
@@ -98,22 +94,11 @@ def trace_of(stations):
 
 
 class TestEnvironmentToggle:
-    def test_default_is_vectorized(self, monkeypatch):
+    """The install environment picks the path: vectorized when numpy imports."""
+
+    def test_default_is_vectorized(self):
         pytest.importorskip("numpy")
-        monkeypatch.delenv(VECTOR_ENV, raising=False)
-        assert _vector_enabled_from_env()
         assert Medium(Simulator(seed=0)).vector_delivery
-
-    @pytest.mark.parametrize("value", ["0", "off", "false", "no"])
-    def test_disable_values(self, monkeypatch, value):
-        monkeypatch.setenv(VECTOR_ENV, value)
-        assert not _vector_enabled_from_env()
-        assert not Medium(Simulator(seed=0)).vector_delivery
-
-    def test_explicit_argument_wins_over_env(self, monkeypatch):
-        pytest.importorskip("numpy")
-        monkeypatch.setenv(VECTOR_ENV, "0")
-        assert Medium(Simulator(seed=0), vector_delivery=True).vector_delivery
 
 
 class TestNumpyFallback:

@@ -2,36 +2,26 @@
 
 The subsystem's transport promise (see ``repro.runner.pool``): snapshots
 captured inside worker processes and merged in submission order are
-bit-identical to a serial run, and a sharded fleet trial's per-vehicle
-telemetry is byte-for-byte the single-process capture.  The hypothesis
-properties pin the merge algebra itself — order-preserving chunking
-(what ``split_shards`` does to work) never changes the merged result, and
-replica snapshots deduplicate by key.
+bit-identical to a serial run, and a fleet trial's per-vehicle slices
+partition its shared capture.  The hypothesis properties pin the merge
+algebra itself — order-preserving chunking never changes the merged
+result, and replica snapshots deduplicate by key.
 """
 
 from __future__ import annotations
-
-import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.schedule import OperationMode
 from repro.experiments.common import run_town_trials
-from repro.experiments.fleet import _run_fleet, run_sharded_trial
+from repro.experiments.fleet import _run_fleet
 from repro.experiments.town_runs import spider_factory
-from repro.obs.export import build_payload
 from repro.obs.telemetry import Telemetry, merge_snapshots
-from repro.runner import split_shards
 
 
 def _spider():
     return spider_factory(OperationMode.single_channel(1), 7)
-
-
-def _export_bytes(snapshots) -> bytes:
-    """The on-disk artifact for a capture, as ``--telemetry`` writes it."""
-    return json.dumps(build_payload(snapshots), sort_keys=True).encode()
 
 
 # ----------------------------------------------------------------------
@@ -61,34 +51,9 @@ class TestWorkerDeterminism:
 
 
 # ----------------------------------------------------------------------
-# Fleet shards: sharded capture byte-identical to one process
+# Fleet: per-vehicle slices of one shared capture
 # ----------------------------------------------------------------------
-class TestFleetShardDeterminism:
-    def test_sharded_vehicle_telemetry_is_byte_identical(self):
-        vehicles, seed, duration = 3, 0, 60.0
-        unsharded = _run_fleet(
-            vehicles, seed=seed, duration_s=duration,
-            town_preset="amherst", telemetry=True,
-        )
-        sharded = run_sharded_trial(
-            vehicles, seed=seed, duration_s=duration,
-            workers=2, telemetry=True,
-        )
-        assert sharded.vehicle_telemetry is not None
-        assert len(sharded.vehicle_telemetry) == vehicles
-        assert sharded.vehicle_telemetry == unsharded.vehicle_telemetry
-        # Per-vehicle slices carry no wall-clock instruments (those live
-        # under the unscoped engine.* names), so the exported artifact —
-        # the JSON payload — must match byte for byte: PR 4's acceptance
-        # bar for sharded captures.
-        assert _export_bytes(sharded.vehicle_telemetry) == _export_bytes(
-            unsharded.vehicle_telemetry
-        )
-        for snap in sharded.vehicle_telemetry:
-            assert snap.nondet_counters == () and snap.nondet_gauges == ()
-        # The metric row itself stays bit-identical too.
-        assert sharded == unsharded
-
+class TestFleetVehicleTelemetry:
     def test_vehicle_slices_are_disjoint_by_prefix(self):
         row = _run_fleet(
             2, seed=1, duration_s=45.0, town_preset="amherst", telemetry=True
@@ -101,10 +66,16 @@ class TestFleetShardDeterminism:
 
 
 # ----------------------------------------------------------------------
-# Merge algebra properties (alongside test_sharding's split properties)
+# Merge algebra properties
 # ----------------------------------------------------------------------
 _NAMES = ("alpha", "beta", "gamma")
 _BOUNDS = (1.0, 5.0)
+
+
+def _contiguous_chunks(items, count):
+    """``items`` cut into at most ``count`` non-empty, order-preserving runs."""
+    bounds = [len(items) * k // count for k in range(count + 1)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
 @st.composite
@@ -128,17 +99,17 @@ class TestMergeProperties:
     @settings(max_examples=60, deadline=None)
     @given(
         snaps=st.lists(_snapshots(keyed=False), max_size=8),
-        shards=st.integers(min_value=1, max_value=5),
+        count=st.integers(min_value=1, max_value=5),
     )
-    def test_chunked_merge_equals_flat_merge(self, snaps, shards):
-        """Merging per-shard then across shards == merging everything.
+    def test_chunked_merge_equals_flat_merge(self, snaps, count):
+        """Merging per-chunk then across chunks == merging everything.
 
-        This is exactly the shape of the pool's transport: each worker's
-        results come back in submission order and ``split_shards`` chunks
-        are order-preserving, so two-level merging must be a no-op.
+        Merging is associative over order-preserving chunks, so any
+        grouping of results that keeps submission order merges to the
+        same snapshot.
         """
         flat = merge_snapshots(snaps, key=("final",))
-        chunks = split_shards(snaps, shards)
+        chunks = _contiguous_chunks(snaps, count)
         chunked = merge_snapshots(
             [
                 merge_snapshots(chunk, key=("chunk", i))
@@ -157,7 +128,7 @@ class TestMergeProperties:
         dup_index=st.integers(min_value=0, max_value=5),
     )
     def test_replicas_never_double_count(self, snaps, dup_index):
-        """Re-merging a snapshot a shard already contributed is a no-op."""
+        """Re-merging a snapshot already contributed is a no-op."""
         base = merge_snapshots(snaps, key=("final",))
         if not snaps:
             return

@@ -2,23 +2,23 @@
 
 The refactor's contract: extracting congestion control into
 :mod:`repro.sim.cc` must not change a single byte of any default-transport
-result.  Three equivalent selections — ``transport=None`` (the historical
+result.  Equivalent selections — ``transport=None`` (the historical
 default), an explicit ``TransportSpec()`` (what ``--cc reno`` builds), and
-the deprecated ``TcpParams`` shim — must produce identical metrics *and*
-identical telemetry snapshots across the table2/fig8 grids.
+a spec rebuilt from its own ``TcpParams`` view — must produce identical
+metrics *and* identical telemetry snapshots across the table2/fig8 grids.
 """
 
 from __future__ import annotations
 
 import pickle
-import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.common import TownTrialSpec, run_town_trial_spec
-from repro.experiments.fig7_tcp_fraction import measure_lab_throughput
+from repro.experiments.api import run_experiment
+from repro.experiments.fig7_tcp_fraction import Fig7Spec, measure_lab_throughput
 from repro.experiments.town_runs import standard_factories
 from repro.sim.cc import TransportSpec
 from repro.sim.engine import Simulator
@@ -71,11 +71,10 @@ class TestTable2GridIdentity:
         )
 
     def test_legacy_params_spec_matches_transport_spec(self):
-        """TransportSpec.from_params lifts the old knobs losslessly."""
-        params = TcpParams(mss=1000, rto_min_s=0.3)
-        lifted = TransportSpec.from_params(params)
-        assert lifted.params() == params
-        assert lifted == TransportSpec(mss=1000, rto_min_s=0.3)
+        """The controllers' ``TcpParams`` view carries every numeric knob."""
+        spec = TransportSpec(mss=1000, rto_min_s=0.3)
+        assert spec.params() == TcpParams(mss=1000, rto_min_s=0.3)
+        assert TransportSpec(**vars(spec.params())) == spec
 
 
 class TestFig8Identity:
@@ -92,9 +91,28 @@ class TestFig8Identity:
         assert default == explicit
 
 
+class TestFig7Transport:
+    """fig7 runs the spec's transport as given: its TCP knobs reach the lab
+    client instead of being reset to the defaults."""
+
+    @staticmethod
+    def _kbps(transport):
+        spec = Fig7Spec(fractions=(1.0,), measure_s=10.0, transport=transport)
+        return run_experiment("fig7", spec).unwrap().throughput_kbps[0]
+
+    @pytest.mark.parametrize(
+        "transport",
+        [TransportSpec(max_cwnd_segments=2.0), TransportSpec(mss=300)],
+        ids=["max_cwnd_2", "mss_300"],
+    )
+    def test_tcp_knobs_change_throughput(self, transport):
+        assert self._kbps(transport) < 0.5 * self._kbps(None)
+
+
 class TestSegmentTraceIdentity:
-    """At the TCP layer: the shim path, the transport path, and the default
-    all emit the identical segment trace under identical loss."""
+    """At the TCP layer: the default, an explicit spec, and a spec rebuilt
+    from its ``TcpParams`` view all emit the identical segment trace under
+    identical loss."""
 
     def run_pipe(self, build_sender):
         sim = Simulator(seed=3)
@@ -130,17 +148,15 @@ class TestSegmentTraceIdentity:
                 transport=TransportSpec(),
             )
 
-        def via_params_shim(sim, down):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                return TcpSender(
-                    sim, "f", "s", "c", transmit=down, total_bytes=80_000,
-                    params=TcpParams(),
-                )
+        def via_params_view(sim, down):
+            return TcpSender(
+                sim, "f", "s", "c", transmit=down, total_bytes=80_000,
+                transport=TransportSpec(**vars(TransportSpec().params())),
+            )
 
         traces = [
             self.run_pipe(build)
-            for build in (default, via_transport, via_params_shim)
+            for build in (default, via_transport, via_params_view)
         ]
         assert traces[0] == traces[1] == traces[2]
         assert len(traces[0]) > 50  # the run actually did something

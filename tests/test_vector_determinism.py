@@ -1,17 +1,18 @@
 """Vectorized vs scalar delivery must agree bit-for-bit at trial scale.
 
-The PR-6 tentpole (array-backed candidate selection in
-``repro.sim.medium_vec``) is only admissible because it is
-semantics-preserving: every metric, every loss draw, every telemetry
-counter must be bit-identical to the scalar delivery scan.  These tests
-run whole town trials — fault plans included — under both paths and
-compare the full metric surface, then pin the contract where it is
-actually consumed: the ``dense_town`` experiment's TrialResult envelope
-and telemetry export serialized to JSON, compared byte-for-byte
-(``filecmp`` on the written artifacts), including over
-hypothesis-generated random dense worlds.
+Array-backed candidate selection (``repro.sim.medium_vec``) is only
+admissible because it is semantics-preserving: every metric, every loss
+draw, every telemetry counter must be bit-identical to the scalar
+delivery scan.  These tests run whole town trials — fault plans
+included — under both paths and compare the full metric surface, then
+pin the contract where it is actually consumed: the ``dense_town``
+experiment's TrialResult envelope and telemetry export serialized to
+JSON, compared byte-for-byte (``filecmp`` on the written artifacts),
+including over hypothesis-generated random dense worlds.  The scalar
+path is forced the way a numpy-free install gets it: ``medium_vec._np``
+set to ``None``.
 
-The unit-level contract (env toggle, numpy fallback, candidate-order
+The unit-level contract (default path, numpy fallback, candidate-order
 equivalence on hand-built worlds) lives in ``tests/test_medium_vector``.
 """
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import filecmp
 import json
-from dataclasses import replace
+from contextlib import contextmanager
 
 import pytest
 
@@ -31,17 +32,11 @@ from hypothesis import strategies as st
 from repro.core.schedule import OperationMode
 from repro.experiments.api import to_jsonable
 from repro.experiments.common import run_town_trial
-from repro.experiments.dense_town import (
-    DenseTownSpec,
-    _vector_env,
-    run_dense_trial,
-    run_spec,
-)
+from repro.experiments.dense_town import DenseTownSpec, run_dense_trial, run_spec
 from repro.experiments.town_runs import spider_factory
 from repro.obs.export import build_payload, collect_snapshots, write_payload
-from repro.sim import radio
+from repro.sim import medium_vec, radio
 from repro.sim.faults import ApFlap, DhcpStall, FaultPlan, RandomOutages
-from repro.sim.radio import VECTOR_ENV
 
 TRIAL_S = 60.0
 
@@ -82,11 +77,20 @@ def _fingerprint(metrics):
     }
 
 
-def _trial(monkeypatch, vector, factory, seed=0, faults=None):
-    monkeypatch.setenv(VECTOR_ENV, "1" if vector else "0")
-    return run_town_trial(
-        factory, "det", seed=seed, duration_s=TRIAL_S, faults=faults
-    )
+@contextmanager
+def _delivery_path(vector):
+    """Run the body on the vectorized medium, or on the scalar one."""
+    with pytest.MonkeyPatch.context() as patch:
+        if not vector:
+            patch.setattr(medium_vec, "_np", None)
+        yield
+
+
+def _trial(vector, factory, seed=0, faults=None):
+    with _delivery_path(vector):
+        return run_town_trial(
+            factory, "det", seed=seed, duration_s=TRIAL_S, faults=faults
+        )
 
 
 class TestTownTrialBitIdentity:
@@ -96,19 +100,19 @@ class TestTownTrialBitIdentity:
     def _engage_vector_everywhere(self, monkeypatch):
         monkeypatch.setattr(radio, "VECTOR_MIN_STATIONS", 0)
 
-    def test_spider_single_channel(self, monkeypatch):
+    def test_spider_single_channel(self):
         factory = spider_factory(OperationMode.single_channel(1), 7)
-        a = _fingerprint(_trial(monkeypatch, False, factory))
-        b = _fingerprint(_trial(monkeypatch, True, factory))
+        a = _fingerprint(_trial(False, factory))
+        b = _fingerprint(_trial(True, factory))
         assert a == b
 
-    def test_spider_multi_channel(self, monkeypatch):
+    def test_spider_multi_channel(self):
         factory = spider_factory(OperationMode.equal_split((1, 6, 11), 0.6), 4)
-        a = _fingerprint(_trial(monkeypatch, False, factory, seed=3))
-        b = _fingerprint(_trial(monkeypatch, True, factory, seed=3))
+        a = _fingerprint(_trial(False, factory, seed=3))
+        b = _fingerprint(_trial(True, factory, seed=3))
         assert a == b
 
-    def test_under_fault_plan(self, monkeypatch):
+    def test_under_fault_plan(self):
         """AP fail/recover reassigns registration sequence numbers and the
         bursty-loss chain perturbs the draw stream; the vector index must
         track both without disturbing a single draw."""
@@ -120,8 +124,8 @@ class TestTownTrialBitIdentity:
             )
         )
         factory = spider_factory(OperationMode.single_channel(1), 7)
-        a = _fingerprint(_trial(monkeypatch, False, factory, seed=2, faults=plan))
-        b = _fingerprint(_trial(monkeypatch, True, factory, seed=2, faults=plan))
+        a = _fingerprint(_trial(False, factory, seed=2, faults=plan))
+        b = _fingerprint(_trial(True, factory, seed=2, faults=plan))
         assert a == b
 
 
@@ -129,19 +133,19 @@ class TestDenseTownBitIdentity:
     """The contract at the scale it was built for, on real thresholds."""
 
     def test_rows_identical_with_telemetry(self):
-        scalar = run_dense_trial(replace(SMALL_DENSE, vector=False), seed=0)
-        vector = run_dense_trial(replace(SMALL_DENSE, vector=True), seed=0)
+        with _delivery_path(False):
+            scalar = run_dense_trial(SMALL_DENSE, seed=0)
+        vector = run_dense_trial(SMALL_DENSE, seed=0)
         assert scalar == vector  # dataclass equality: bit-for-bit floats
         assert scalar.telemetry is not None
 
     def test_envelope_and_telemetry_export_byte_identical(self, tmp_path):
         """The artifacts users diff — ``--json-out`` and ``--telemetry``
         files — must be byte-identical, enforced with ``filecmp``."""
-        spec = replace(SMALL_DENSE, vector=None)  # identical spec both runs
         paths = {}
         for label, vector in (("scalar", False), ("vector", True)):
-            with _vector_env(vector):
-                envelope = run_spec(spec)
+            with _delivery_path(vector):
+                envelope = run_spec(SMALL_DENSE)
             assert envelope.ok
             trial_path = tmp_path / f"{label}.json"
             trial_path.write_text(
@@ -154,8 +158,8 @@ class TestDenseTownBitIdentity:
         assert filecmp.cmp(paths["scalar"][1], paths["vector"][1], shallow=False)
 
     def test_vector_path_is_deterministic(self):
-        a = run_dense_trial(replace(SMALL_DENSE, vector=True), seed=5)
-        b = run_dense_trial(replace(SMALL_DENSE, vector=True), seed=5)
+        a = run_dense_trial(SMALL_DENSE, seed=5)
+        b = run_dense_trial(SMALL_DENSE, seed=5)
         assert a == b
 
 
@@ -187,7 +191,7 @@ class TestRandomGridProperty:
         )
         dumps = {}
         for vector in (False, True):
-            with _vector_env(vector):
+            with _delivery_path(vector):
                 envelope = run_spec(spec)
             assert envelope.ok
             dumps[vector] = (
