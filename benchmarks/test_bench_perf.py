@@ -33,6 +33,8 @@ Measured workloads:
                          global-FIFO baseline)
 * ``channel_assign``   — a reduced strategy x policy grid of the
                          channel-assignment experiment under contention
+* ``model``            — default Fig. 4 through ``run_spec``: the analytic
+                         join model and optimizer, no simulator
 
 Scale knobs are the bench-suite ones (``REPRO_BENCH_SEEDS``,
 ``REPRO_BENCH_DURATION``, ``REPRO_BENCH_WORKERS``); the perf harness
@@ -675,6 +677,38 @@ def test_perf_channel_assign(report):
         "the all-on-6 map should collide at least as often as the "
         "measured mix"
     )
+
+
+#: ``q_segment`` calls of default Fig. 4 when ``join_probability_series``
+#: multiplied every round pair and Fig. 4 solved each speed twice.
+_FIG4_PAIRWISE_Q_SEGMENT_CALLS = 24_118_967
+
+
+def test_perf_model(report, monkeypatch):
+    """Default Fig. 4: wall time and the deterministic ``q_segment`` count.
+
+    The count, not the time, is asserted: at most 5% of the count the
+    pairwise join model made.
+    """
+    from repro.experiments.fig4_optimal_schedule import run_spec
+    from repro.model import join_model
+
+    calls = 0
+    q_segment = join_model.q_segment
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return q_segment(*args)
+
+    monkeypatch.setattr(join_model, "q_segment", counted)
+    t0 = time.perf_counter()
+    result = run_spec().unwrap()
+    wall = time.perf_counter() - t0
+    _record("model", wall_s=wall, q_segment_calls=calls)
+    report("perf/model", json.dumps(_PERF["model"], indent=2))
+    assert len(result.scenarios) == 3
+    assert calls <= 0.05 * _FIG4_PAIRWISE_Q_SEGMENT_CALLS
 
 
 def test_perf_persist_results():

@@ -87,6 +87,15 @@ class Fig2Spec(ExperimentSpec):
     runs: int = 30
     trials_per_run: int = 100
 
+    def __post_init__(self) -> None:
+        if self.runs < 1 or self.trials_per_run < 1:
+            raise ValueError(
+                f"runs and trials_per_run must be at least 1, "
+                f"got {self.runs!r} and {self.trials_per_run!r}"
+            )
+        if not self.fractions:
+            raise ValueError("fractions must name at least one channel fraction")
+
 
 @register("fig2", Fig2Spec, summary="join probability: model vs Monte-Carlo")
 def run_spec(spec: Fig2Spec) -> Fig2Result:

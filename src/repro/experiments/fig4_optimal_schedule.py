@@ -21,7 +21,7 @@ from ..model.optimizer import (
     DEFAULT_RANGE_M,
     FIG4_SCENARIOS,
     ChannelState,
-    dividing_speed,
+    dividing_speed_of,
     sweep_speeds,
 )
 from .api import ExperimentSpec, register
@@ -84,6 +84,18 @@ class Fig4Spec(ExperimentSpec):
     range_m: float = DEFAULT_RANGE_M
     grid_steps: int = 16
 
+    def __post_init__(self) -> None:
+        if not self.speeds_mps or min(self.speeds_mps) <= 0:
+            raise ValueError(
+                f"speeds_mps must be non-empty and positive, got {self.speeds_mps!r}"
+            )
+        if self.grid_steps < 1:
+            raise ValueError(f"grid_steps must be at least 1, got {self.grid_steps!r}")
+        if self.range_m <= 0 or self.bw_bps <= 0:
+            raise ValueError(
+                f"range_m and bw_bps must be positive, got {self.range_m!r} and {self.bw_bps!r}"
+            )
+
 
 @register("fig4", Fig4Spec, summary="optimal per-channel bandwidth vs speed")
 def run_spec(spec: Fig4Spec) -> Fig4Result:
@@ -93,32 +105,21 @@ def run_spec(spec: Fig4Spec) -> Fig4Result:
             ChannelState(1, joined_bps=joined_share * spec.bw_bps),
             ChannelState(2, available_bps=available_share * spec.bw_bps),
         ]
-        ch1: List[float] = []
-        ch2: List[float] = []
-        for _, result in sweep_speeds(
+        sweep = sweep_speeds(
             channels,
             spec.speeds_mps,
             params=FIG4_MODEL_PARAMS,
             bw_bps=spec.bw_bps,
             range_m=spec.range_m,
             grid_steps=spec.grid_steps,
-        ):
-            ch1.append(result.throughput_bps.get(1, 0.0))
-            ch2.append(result.throughput_bps.get(2, 0.0))
-        divide = dividing_speed(
-            channels,
-            params=FIG4_MODEL_PARAMS,
-            bw_bps=spec.bw_bps,
-            range_m=spec.range_m,
-            speed_grid=spec.speeds_mps,
         )
         out.append(
             Fig4Scenario(
                 name=name,
                 speeds_mps=list(spec.speeds_mps),
-                ch1_bandwidth_bps=ch1,
-                ch2_bandwidth_bps=ch2,
-                dividing_speed_mps=divide,
+                ch1_bandwidth_bps=[r.throughput_bps.get(1, 0.0) for _, r in sweep],
+                ch2_bandwidth_bps=[r.throughput_bps.get(2, 0.0) for _, r in sweep],
+                dividing_speed_mps=dividing_speed_of(channels, sweep),
             )
         )
     return Fig4Result(scenarios=out)

@@ -14,6 +14,7 @@ from .optimizer import (
     ChannelState,
     OptimizationResult,
     dividing_speed,
+    dividing_speed_of,
     optimal_schedule,
     sweep_speeds,
 )
@@ -32,6 +33,7 @@ __all__ = [
     "ChannelState",
     "OptimizationResult",
     "dividing_speed",
+    "dividing_speed_of",
     "optimal_schedule",
     "sweep_speeds",
 ]

@@ -116,20 +116,27 @@ def join_probability_series(
     """``p(f_i, r·D)`` for r = 0..⌊t/D⌋, computed incrementally.
 
     Index ``r`` of the returned list is the join probability after ``r``
-    complete rounds; index 0 is always 0.  The incremental form lets the
-    optimizer integrate over encounter time in O(rounds²) instead of
-    O(rounds³).
+    complete rounds; index 0 is always 0.
+
+    Eq. 5 depends on rounds ``m`` and ``n`` only through their gap, so
+    ``q(m, n) = Q(n - m)``.  Round ``r`` therefore multiplies the no-join
+    product by ``C_r = Q(0)·…·Q(r-1) = C_{r-1}·Q(r-1)``, and the series
+    costs one :func:`q_round_pair` per round: O(rounds·K) ``q_segment``
+    calls for ``K`` requests per round.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1]: {fraction!r}")
-    if time_in_range_s < 0:
-        raise ValueError(f"time_in_range_s must be non-negative: {time_in_range_s!r}")
+    if not 0.0 <= time_in_range_s < math.inf:
+        raise ValueError(
+            f"time_in_range_s must be finite and non-negative: {time_in_range_s!r}"
+        )
     rounds = int(time_in_range_s / params.period_s)
     series = [0.0]
-    no_join = 1.0  # Π q(m, n, h) over all pairs seen so far
-    for n in range(1, rounds + 1):
-        for m in range(1, n + 1):
-            no_join *= q_round_pair(params, fraction, m, n)
+    no_join = 1.0  # Π q(m, n, h) over all pairs m <= n <= r
+    newest = 1.0  # C_r: Π q(m, r, h) over m <= r, the pairs ending in round r
+    for r in range(1, rounds + 1):
+        newest *= q_round_pair(params, fraction, 1, r)
+        no_join *= newest
         series.append(1.0 - no_join)
     return series
 

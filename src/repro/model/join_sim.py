@@ -39,16 +39,22 @@ def _single_trial(
         return False
     d = params.period_s
     on_window = d * fraction
+    loss = params.loss_rate
+    beta_min = params.beta_min_s
+    beta_span = params.beta_max_s - beta_min
+    # Offset of request k's response, before its latency, measured from the
+    # start of round m's on-channel window (Eq. 1-2).
+    offsets = [
+        params.switch_delay_s + (k - 1) * params.request_spacing_s
+        for k in range(1, requests + 1)
+    ]
+    rand = rng.random
     for m in range(1, rounds + 1):
-        for k in range(1, requests + 1):
-            if rng.random() < params.loss_rate:  # request lost
+        for offset in offsets:
+            if rand() < loss or rand() < loss:  # request or response lost
                 continue
-            if rng.random() < params.loss_rate:  # response lost
-                continue
-            beta = rng.uniform(params.beta_min_s, params.beta_max_s)
-            # Offset of the response, measured from the start of round m's
-            # on-channel window (Eq. 1-2).
-            arrival = params.switch_delay_s + (k - 1) * params.request_spacing_s + beta
+            # beta_min + beta_span * rand() is random.uniform(beta_min, beta_max).
+            arrival = offset + (beta_min + beta_span * rand())
             j = math.floor(arrival / d)
             if m + j > rounds:
                 continue  # response lands after the encounter ends

@@ -34,6 +34,7 @@ __all__ = [
     "optimal_schedule",
     "sweep_speeds",
     "dividing_speed",
+    "dividing_speed_of",
     "FIG4_SCENARIOS",
 ]
 
@@ -81,6 +82,14 @@ class OptimizationResult:
         return self.fractions.get(channel, 0.0)
 
 
+def _check_grid(grid_steps: int, refine_rounds: int = 0) -> None:
+    """Reject a solver grid that cannot be searched."""
+    if grid_steps < 1:
+        raise ValueError(f"grid_steps must be at least 1, got {grid_steps!r}")
+    if refine_rounds < 0:
+        raise ValueError(f"refine_rounds must be non-negative, got {refine_rounds!r}")
+
+
 def _cap_fraction(
     state: ChannelState,
     fraction: float,
@@ -113,6 +122,7 @@ def optimal_schedule(
         raise ValueError("need at least one channel")
     if time_in_range_s <= 0:
         raise ValueError("time_in_range_s must be positive")
+    _check_grid(grid_steps, refine_rounds)
     params = params or JoinModelParams()
     switching_budget = params.switch_delay_s / params.period_s
 
@@ -189,6 +199,7 @@ def sweep_speeds(
     grid_steps: int = 20,
 ) -> List[Tuple[float, OptimizationResult]]:
     """Fig. 4's x-axis: solve the schedule at each speed (T = 2·range/v)."""
+    _check_grid(grid_steps)
     results = []
     for speed in speeds_mps:
         if speed <= 0:
@@ -215,17 +226,30 @@ def dividing_speed(
 ) -> float:
     """The speed above which the optimizer stops visiting the join channel.
 
-    Returns the lowest probed speed at which every channel with zero joined
-    bandwidth receives at most ``secondary_threshold`` of the schedule
-    (``inf`` if switching stays profitable at every probed speed).
+    Solves the schedule at every speed of ``speed_grid`` and reads the
+    answer off the sweep with :func:`dividing_speed_of`.
     """
     speeds = list(speed_grid or [2.5, 3.3, 5.0, 6.6, 8.0, 10.0, 12.5, 15.0, 20.0])
-    for speed, result in sweep_speeds(
-        channels, speeds, params=params, bw_bps=bw_bps, range_m=range_m
-    ):
-        join_only = [
-            state.channel for state in channels if state.joined_bps == 0.0
-        ]
+    return dividing_speed_of(
+        channels,
+        sweep_speeds(channels, speeds, params=params, bw_bps=bw_bps, range_m=range_m),
+        secondary_threshold=secondary_threshold,
+    )
+
+
+def dividing_speed_of(
+    channels: Sequence[ChannelState],
+    results: Sequence[Tuple[float, OptimizationResult]],
+    secondary_threshold: float = 0.02,
+) -> float:
+    """The dividing speed of a finished :func:`sweep_speeds` sweep.
+
+    Returns the first swept speed at which every channel with zero joined
+    bandwidth receives at most ``secondary_threshold`` of the schedule
+    (``inf`` if switching stays profitable at every swept speed).
+    """
+    join_only = [state.channel for state in channels if state.joined_bps == 0.0]
+    for speed, result in results:
         if all(result.fraction(c) <= secondary_threshold for c in join_only):
             return speed
     return math.inf

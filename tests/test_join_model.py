@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import math
+import random
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +18,9 @@ from repro.model.join_model import (
     q_round_pair,
     q_segment,
 )
+from repro.experiments import fig4_optimal_schedule
+from repro.experiments.fig2_join_validation import Fig2Spec
+from repro.model import join_model, join_sim
 from repro.model.join_sim import simulate_join_probability
 
 PAPER = JoinModelParams(
@@ -128,6 +135,11 @@ class TestJoinProbability:
         with pytest.raises(ValueError):
             join_probability(PAPER, 0.5, -1.0)
 
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    def test_non_finite_horizon_rejected(self, horizon):
+        with pytest.raises(ValueError, match="time_in_range_s"):
+            join_probability_series(PAPER, 0.5, horizon)
+
     @settings(max_examples=30, deadline=None)
     @given(
         fraction=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
@@ -180,3 +192,161 @@ class TestModelVsSimulation:
     def test_simulation_invalid_inputs(self):
         with pytest.raises(ValueError):
             simulate_join_probability(PAPER, 0.4, 4.0, runs=0)
+
+
+def _double_loop_series(params, fraction, time_in_range_s):
+    """The quadratic form of Eq. 7: multiply every round pair ``(m, n)``."""
+    rounds = int(time_in_range_s / params.period_s)
+    series = [0.0]
+    no_join = 1.0
+    for n in range(1, rounds + 1):
+        for m in range(1, n + 1):
+            no_join *= q_round_pair(params, fraction, m, n)
+        series.append(1.0 - no_join)
+    return series
+
+
+ORACLE_PARAMS = {
+    "paper": PAPER.with_beta_max(10.0),
+    "point-mass-beta": replace(PAPER, beta_min_s=1.0, beta_max_s=1.0),
+    "no-switch-delay": replace(PAPER, switch_delay_s=0.0),
+}
+
+
+class TestLinearSeries:
+    """The running-product series against the pairwise double loop."""
+
+    @pytest.mark.parametrize("variant", sorted(ORACLE_PARAMS))
+    @pytest.mark.parametrize("loss_rate", [0.0, 0.1, 0.9])
+    @pytest.mark.parametrize("fraction", [0.0, 0.01, 0.5, 1.0])
+    def test_matches_double_loop(self, variant, loss_rate, fraction):
+        params = replace(ORACLE_PARAMS[variant], loss_rate=loss_rate)
+        fast = join_probability_series(params, fraction, 20.3)
+        slow = _double_loop_series(params, fraction, 20.3)
+        assert len(fast) == len(slow) == 41
+        assert max(abs(a - b) for a, b in zip(fast, slow)) <= 1e-12
+
+    @pytest.mark.parametrize("variant", sorted(ORACLE_PARAMS))
+    @pytest.mark.parametrize("fraction", [0.01, 0.5])
+    def test_matches_double_loop_at_fig4_slowest_speed(self, variant, fraction):
+        # 2.5 m/s through a 100 m range: an 80 s encounter, 160 rounds.
+        params = ORACLE_PARAMS[variant]
+        fast = join_probability_series(params, fraction, 80.0)
+        slow = _double_loop_series(params, fraction, 80.0)
+        assert len(fast) == len(slow) == 161
+        assert max(abs(a - b) for a, b in zip(fast, slow)) <= 1e-12
+
+    @pytest.mark.parametrize("fraction", [0.01, 0.3, 1.0])
+    @pytest.mark.parametrize("horizon", [0.0, 4.0, 80.0])
+    def test_q_segment_calls_linear_in_rounds(self, monkeypatch, fraction, horizon):
+        calls = 0
+        original = join_model.q_segment
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(join_model, "q_segment", counted)
+        params = replace(PAPER, switch_delay_s=0.0)
+        join_probability_series(params, fraction, horizon)
+        rounds = int(horizon / params.period_s)
+        assert calls <= rounds * params.requests_per_round(fraction)
+
+
+#: Default fig4 as the pairwise double loop computed it:
+#: (scenario, ch1 bandwidth per speed, ch2 bandwidth per speed, dividing speed).
+FIG4_DEFAULT = [
+    (
+        "75/25",
+        [8078125.0, 8164062.5, 8250000.0, 8250000.0, 8250000.0, 8250000.0],
+        [2578125.0, 2492187.5, 2363281.25, 2019531.25, 1546875.0, 0.0],
+        20.0,
+    ),
+    (
+        "25/75",
+        [2664062.5, 2750000.0, 2750000.0, 2750000.0, 2750000.0, 2750000.0],
+        [7992187.5, 7906250.0, 7777343.75, 7519531.25, 7261718.75, 5886718.75],
+        math.inf,
+    ),
+    (
+        "50/50",
+        [5371093.75, 5457031.25, 5500000.0, 5500000.0, 5500000.0, 5500000.0],
+        [5285156.25, 5199218.75, 5070312.5, 4855468.75, 4597656.25, 2964843.75],
+        math.inf,
+    ),
+]
+
+
+def test_default_fig4_is_pinned():
+    result = fig4_optimal_schedule.run_spec().unwrap()
+    assert [
+        (s.name, s.ch1_bandwidth_bps, s.ch2_bandwidth_bps, s.dividing_speed_mps)
+        for s in result.scenarios
+    ] == FIG4_DEFAULT
+
+
+def _per_draw_trial(params, fraction, rounds, rng):
+    """The Monte-Carlo trial with every attribute read inside the draw loop."""
+    requests = params.requests_per_round(fraction)
+    if requests == 0 or rounds == 0:
+        return False
+    d = params.period_s
+    on_window = d * fraction
+    for m in range(1, rounds + 1):
+        for k in range(1, requests + 1):
+            if rng.random() < params.loss_rate:
+                continue
+            if rng.random() < params.loss_rate:
+                continue
+            beta = rng.uniform(params.beta_min_s, params.beta_max_s)
+            arrival = params.switch_delay_s + (k - 1) * params.request_spacing_s + beta
+            j = math.floor(arrival / d)
+            if m + j > rounds:
+                continue
+            if arrival - j * d <= on_window:
+                return True
+    return False
+
+
+class TestJoinSimDraws:
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize(
+        "params, fraction, horizon",
+        [
+            (PAPER, 0.3, 4.0),
+            (PAPER.with_beta_max(10.0), 1.0, 10.0),
+            (replace(PAPER, loss_rate=0.5, switch_delay_s=0.0), 0.1, 4.0),
+            (replace(PAPER, beta_min_s=1.0, beta_max_s=1.0), 0.5, 3.0),
+        ],
+    )
+    def test_hoisted_trial_draws_the_same_stream(
+        self, monkeypatch, seed, params, fraction, horizon
+    ):
+        hoisted = simulate_join_probability(
+            params, fraction, horizon, runs=6, trials_per_run=40, seed=seed
+        )
+        monkeypatch.setattr(join_sim, "_single_trial", _per_draw_trial)
+        per_draw = simulate_join_probability(
+            params, fraction, horizon, runs=6, trials_per_run=40, seed=seed
+        )
+        assert (hoisted.mean, hoisted.std) == (per_draw.mean, per_draw.std)
+
+    def test_trial_consumes_the_same_draws(self):
+        a, b = random.Random(5), random.Random(5)
+        outcomes = [
+            (join_sim._single_trial(PAPER, 0.4, 8, a), _per_draw_trial(PAPER, 0.4, 8, b))
+            for _ in range(200)
+        ]
+        assert all(x == y for x, y in outcomes)
+        assert a.random() == b.random()
+
+
+class TestFig2SpecInputs:
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"runs": 0}, {"trials_per_run": 0}, {"fractions": ()}],
+    )
+    def test_bad_input_fails_at_the_spec(self, overrides):
+        with pytest.raises(ValueError):
+            Fig2Spec(**overrides)

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.fig4_optimal_schedule import Fig4Spec
 from repro.model.join_model import JoinModelParams, expected_join_fraction
 from repro.model.optimizer import (
     ChannelState,
     dividing_speed,
+    dividing_speed_of,
     optimal_schedule,
     sweep_speeds,
 )
@@ -81,6 +83,19 @@ class TestOptimalSchedule:
         with pytest.raises(ValueError):
             optimal_schedule([ChannelState(1)], 0.0)
 
+    @pytest.mark.parametrize(
+        "grid, match",
+        [
+            ({"grid_steps": 0}, "grid_steps"),
+            ({"grid_steps": -2}, "grid_steps"),
+            ({"refine_rounds": -1}, "refine_rounds"),
+        ],
+    )
+    def test_bad_grid_rejected(self, grid, match):
+        channels = [ChannelState(1, joined_bps=4e6), ChannelState(2, available_bps=4e6)]
+        with pytest.raises(ValueError, match=match):
+            optimal_schedule(channels, 20.0, params=FAST_PARAMS, **grid)
+
     @settings(max_examples=10, deadline=None)
     @given(
         joined_share=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
@@ -125,3 +140,38 @@ class TestSpeedBehaviour:
     def test_sweep_rejects_nonpositive_speed(self):
         with pytest.raises(ValueError):
             sweep_speeds([ChannelState(1, joined_bps=1e6)], [0.0])
+
+    @pytest.mark.parametrize("grid_steps", [0, -2])
+    def test_sweep_rejects_bad_grid(self, grid_steps):
+        with pytest.raises(ValueError, match="grid_steps"):
+            sweep_speeds([ChannelState(1, joined_bps=1e6)], [], grid_steps=grid_steps)
+
+    def test_dividing_speed_reads_a_finished_sweep(self):
+        channels = [
+            ChannelState(1, joined_bps=0.75 * 11e6),
+            ChannelState(2, available_bps=0.25 * 11e6),
+        ]
+        params = JoinModelParams(beta_min_s=0.5, beta_max_s=10.0)
+        speeds = [2.5, 10.0, 20.0, 40.0]
+        sweep = sweep_speeds(channels, speeds, params=params)
+        assert dividing_speed_of(channels, sweep) == dividing_speed(
+            channels, params=params, speed_grid=speeds
+        )
+        assert dividing_speed_of(channels, sweep[:1]) == math.inf
+
+
+class TestFig4SpecInputs:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"speeds_mps": ()},
+            {"speeds_mps": (5.0, 0.0)},
+            {"speeds_mps": (-2.5,)},
+            {"grid_steps": 0},
+            {"range_m": 0.0},
+            {"bw_bps": -1.0},
+        ],
+    )
+    def test_bad_input_fails_at_the_spec(self, overrides):
+        with pytest.raises(ValueError):
+            Fig4Spec(**overrides)
