@@ -17,8 +17,10 @@ Scale knobs (environment variables):
 
 from __future__ import annotations
 
+import importlib.metadata
 import json
 import os
+import platform
 from pathlib import Path
 from typing import Dict
 
@@ -42,23 +44,39 @@ def bench_workers() -> int:
     return workers if workers > 0 else (os.cpu_count() or 1)
 
 
+def _host_stamp() -> dict:
+    """The host a bench ran on: cores, Python and numpy (``None`` if absent)."""
+    try:
+        numpy = importlib.metadata.version("numpy")
+    except importlib.metadata.PackageNotFoundError:
+        numpy = None
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy,
+    }
+
+
 def merge_perf_results(results: Dict[str, dict], **meta) -> None:
     """Merge entries into ``BENCH_perf.json`` without clobbering others.
 
     Several bench modules contribute to the same file (the perf harness,
     the fault sweep); each merges its own keys so partial runs — e.g. CI
     jobs running a single module — still leave every other module's
-    numbers in place.
+    numbers in place.  The host stamp is rewritten on every merge, so it
+    names the host of the latest run rather than the one that created the
+    file.
     """
-    payload: dict = {"schema": 1, "cpu_count": os.cpu_count()}
+    payload: dict = {"schema": 1}
     if _BENCH_PERF_PATH.exists():
         try:
             payload = json.loads(_BENCH_PERF_PATH.read_text())
         except ValueError:
             pass
-    payload.update(meta)
-    merged = dict(payload.get("results", {}))
+    merged = dict(payload.pop("results", {}))
     merged.update(results)
+    payload.update(_host_stamp())
+    payload.update(meta)
     payload["results"] = {key: merged[key] for key in sorted(merged)}
     _BENCH_PERF_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 

@@ -418,67 +418,6 @@ def test_perf_dense_town(report):
     )
 
 
-def test_perf_fabric_overhead(report):
-    """Coordinator overhead of the in-process sweep fabric, per job.
-
-    The fabric's state machine (lease, heartbeat, complete, merge) is pure
-    dict work, so routing a fan-out through ``InProcessFabric`` instead of
-    the plain serial loop must cost millisecond-scale bookkeeping per job
-    — and under the seeded chaos preset (kills, stalls, drops, duplicated
-    completions) the envelopes must still be byte-identical to serial.
-
-    ``fabric_overhead.events_per_sec`` (jobs dispatched through the fabric
-    per second) is the rate ``check_perf_regression.py`` gates in CI; the
-    per-job overhead below is asserted directly.  Two paired rounds, best
-    ratio, for the same container-noise reasons as ``telemetry_overhead``.
-    """
-    import pickle
-
-    from repro.fabric import FabricChaosPlan, InProcessFabric, demo_jobs
-    from repro.runner import run_jobs
-
-    jobs_n = 200
-    rounds = []
-    for _ in range(2):
-        t0 = time.perf_counter()
-        serial = run_jobs(demo_jobs(jobs_n), workers=1)
-        serial_wall = time.perf_counter() - t0
-        fabric = InProcessFabric(workers=4)
-        t0 = time.perf_counter()
-        routed = fabric.run(demo_jobs(jobs_n))
-        fabric_wall = time.perf_counter() - t0
-        assert pickle.dumps(routed) == pickle.dumps(serial)
-        rounds.append((serial_wall, fabric_wall))
-    serial_wall, fabric_wall = min(rounds, key=lambda r: r[1] - r[0])
-    per_job_overhead_ms = max(0.0, fabric_wall - serial_wall) / jobs_n * 1000.0
-
-    chaos_fabric = InProcessFabric(workers=3, plan=FabricChaosPlan.preset(7))
-    t0 = time.perf_counter()
-    chaos = chaos_fabric.run(demo_jobs(jobs_n))
-    chaos_wall = time.perf_counter() - t0
-    assert pickle.dumps(chaos) == pickle.dumps(
-        run_jobs(demo_jobs(jobs_n), workers=1)
-    )
-    stats = dict(chaos_fabric.snapshot().counters)
-    _record(
-        "fabric_overhead",
-        serial_wall_s=serial_wall,
-        fabric_wall_s=fabric_wall,
-        chaos_wall_s=chaos_wall,
-        jobs=jobs_n,
-        events_per_sec=jobs_n / fabric_wall,
-        per_job_overhead_ms=per_job_overhead_ms,
-        chaos_leases=int(stats["fabric.leases_issued"]),
-        chaos_reassignments=int(stats["fabric.reassignments"]),
-        byte_identical=True,
-    )
-    report("perf/fabric_overhead", json.dumps(_PERF["fabric_overhead"], indent=2))
-    assert per_job_overhead_ms < 5.0, (
-        f"fabric bookkeeping costs {per_job_overhead_ms:.2f} ms/job "
-        f"({serial_wall:.3f}s -> {fabric_wall:.3f}s for {jobs_n} jobs)"
-    )
-
-
 def test_perf_transport_matrix(report):
     """A reduced transport-matrix column: CC strategies + split proxying.
 

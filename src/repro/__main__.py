@@ -37,15 +37,6 @@ Every experiment shares one flag vocabulary, parsed here once:
     where the cache lives (default: ``REPRO_CACHE_DIR`` or
     ``.repro_cache``).  A warm re-run replays cached trials and is
     byte-identical — results and telemetry — to the cold run.
-``--fabric SPEC``
-    route trial fan-outs through the distributed sweep fabric
-    (``local``, ``local:N``, ``chaos:SEED``, or an ``http://host:port``
-    coordinator; default: the ``REPRO_FABRIC`` environment variable; see
-    :mod:`repro.fabric`).  Results are byte-identical to a local run.
-``--fabric-chaos SEED``
-    inject the seeded chaos preset (worker kills, stalls, dropped and
-    duplicated completions) into an in-process fabric — the
-    fault-tolerance proof knob: results still match serial exactly.
 ``--cc {reno,cubic,bbr,quic0rtt}``
     congestion controller for every TCP flow the experiment spawns
     (default: the ``REPRO_CC`` environment variable, else Reno;
@@ -144,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--telemetry-deterministic",
         action="store_true",
         help="strip wall-clock profiling instruments from the --telemetry "
-        "export so byte-equality holds across layouts/fabrics",
+        "export so byte-equality holds across worker counts",
     )
     parser.add_argument(
         "--cache",
@@ -166,21 +157,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="cache directory (default: $REPRO_CACHE_DIR or .repro_cache)",
-    )
-    parser.add_argument(
-        "--fabric",
-        default=None,
-        metavar="SPEC",
-        help="route trial fan-outs through the sweep fabric: local[:N], "
-        "chaos:SEED, or http://host:port (default: $REPRO_FABRIC)",
-    )
-    parser.add_argument(
-        "--fabric-chaos",
-        type=int,
-        default=None,
-        metavar="SEED",
-        help="inject the seeded chaos preset into the in-process fabric "
-        "(implies --fabric local if not given)",
     )
     parser.add_argument(
         "--cc",
@@ -266,21 +242,9 @@ def main(argv=None) -> int:
     from .cache import resolve_cache
 
     store = resolve_cache(args.cache, args.cache_dir)
-    from .fabric import resolve_fabric
-
-    fabric_spec = args.fabric
-    if fabric_spec is None and args.fabric_chaos is not None:
-        fabric_spec = "local"
-    try:
-        fabric = resolve_fabric(fabric_spec, chaos_seed=args.fabric_chaos)
-    except ValueError as exc:
-        print(f"bad --fabric spec: {exc}", file=sys.stderr)
-        return 2
-    envelope = run_experiment(args.experiment, spec, fabric=fabric)
+    envelope = run_experiment(args.experiment, spec)
     if store is not None:
         print(store.describe(), file=sys.stderr)
-    if fabric is not None and hasattr(fabric, "describe"):
-        print(fabric.describe(), file=sys.stderr)
     if args.json_out is not None:
         payload = json.dumps(to_jsonable(envelope), indent=2, sort_keys=True)
         if args.json_out == "-":

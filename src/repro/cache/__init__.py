@@ -60,7 +60,7 @@ the command line.  ``REPRO_CACHE_MAX_BYTES`` (or ``TrialCache(...,
 max_bytes=)``) puts the store on a size budget: after enough stores the
 cache prunes itself back under the cap, least-recently-used first (hits
 refresh mtime), under an advisory file lock (``cache_lock``) so
-concurrent coordinators/workers sharing a volume never race each other's
+concurrent processes sharing a volume never race each other's
 maintenance scans.
 """
 
@@ -269,8 +269,8 @@ def cache_lock(root: os.PathLike, blocking: bool = True):
     """Exclusive advisory lock on ``<root>/.lock`` for store maintenance.
 
     Entry writes are already safe unlocked (atomic ``os.replace``); the
-    lock exists so concurrent *maintenance* — two coordinators pruning the
-    same shared volume, a worker pruning while the CLI verifies — cannot
+    lock exists so concurrent *maintenance* — two runs pruning the same
+    shared volume, a run pruning while the CLI verifies — cannot
     race each other's directory scans.  Yields ``True`` when the lock was
     taken; with ``blocking=False`` yields ``False`` immediately if another
     process holds it (auto-maintenance skips rather than stalls).  On

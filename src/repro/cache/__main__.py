@@ -109,8 +109,8 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 2
-        # The maintenance lock serializes concurrent pruners (two
-        # coordinators sharing a cache volume) without blocking readers.
+        # The maintenance lock serializes concurrent pruners (two runs
+        # sharing a cache volume) without blocking readers.
         with cache_lock(root):
             outcome = prune_cache(
                 root,

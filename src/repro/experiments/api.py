@@ -160,18 +160,9 @@ def register(
 
 
 def _execute(
-    experiment: Experiment,
-    spec: Optional[ExperimentSpec],
-    fabric: Any = None,
+    experiment: Experiment, spec: Optional[ExperimentSpec]
 ) -> TrialResult:
-    """Run one experiment, converting any raise into an error envelope.
-
-    ``fabric`` routes the experiment's trial fan-outs through a sweep
-    fabric (a fabric instance, a ``--fabric`` spec string, or ``None`` for
-    the ambient/``REPRO_FABRIC`` default).  It is deliberately *not* a
-    spec field: the spec is serialized into the result envelope's tag, and
-    where a sweep ran must never change what it produced.
-    """
+    """Run one experiment, converting any raise into an error envelope."""
     if spec is None:
         spec = experiment.spec_cls()
     tag = (experiment.name, spec)
@@ -185,13 +176,10 @@ def _execute(
             tag=tag,
         )
     from ..cache import activate, resolve_cache
-    from ..fabric import activate as activate_fabric
-    from ..fabric import resolve_fabric
 
     try:
         with activate(resolve_cache(spec.cache, spec.cache_dir)):
-            with activate_fabric(resolve_fabric(fabric)):
-                value = experiment.runner(spec)
+            value = experiment.runner(spec)
     except Exception as exc:  # envelope, never unwind the caller
         return TrialResult(
             ok=False, error=f"{type(exc).__name__}: {exc}", tag=tag
@@ -210,15 +198,10 @@ def experiment_names() -> List[str]:
 
 
 def run_experiment(
-    name: str, spec: Optional[ExperimentSpec] = None, fabric: Any = None
+    name: str, spec: Optional[ExperimentSpec] = None
 ) -> TrialResult:
-    """Run a registered experiment by name; raises ``KeyError`` if unknown.
-
-    ``fabric`` (optional) routes the experiment's trial fan-outs through a
-    distributed sweep fabric — see :mod:`repro.fabric`.
-    """
-    experiment = REGISTRY[name]
-    return _execute(experiment, spec, fabric=fabric)
+    """Run a registered experiment by name; raises ``KeyError`` if unknown."""
+    return _execute(REGISTRY[name], spec)
 
 
 def spec_from_options(spec_cls: Type[ExperimentSpec], **overrides: Any) -> ExperimentSpec:

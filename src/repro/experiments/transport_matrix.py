@@ -13,8 +13,8 @@ connection confines that damage to the last hop; a rate-based controller
 pipeline so each encounter starts carrying data sooner.
 
 The full ``policy × cc × split × seed`` grid flattens into one trial
-batch, so it fans out through :mod:`repro.runner` (and any active cache
-or sweep fabric) exactly like every other experiment.
+batch, so it fans out through :mod:`repro.runner` (and any active cache)
+exactly like every other experiment.
 """
 
 from __future__ import annotations

@@ -192,7 +192,7 @@ def build_payload(
     ``deterministic=True`` projects every snapshot through
     :meth:`TelemetrySnapshot.deterministic` first, dropping wall-clock
     profiling instruments — the projection byte-equality gates compare
-    across process layouts, worker counts, and sweep fabrics.
+    across process layouts and worker counts.
     """
     kept = [s for s in snapshots if s is not None]
     if deterministic:

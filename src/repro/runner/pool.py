@@ -561,39 +561,6 @@ def _dispatch_jobs(
     return _run_parallel(jobs, payloads, count, timeout, tries)
 
 
-def _dispatch_or_fabric(
-    jobs: List[TrialJob],
-    workers: Optional[int],
-    timeout_s: Optional[float],
-    retries: Optional[int],
-) -> List[TrialResult]:
-    """Route a fan-out through the ambient sweep fabric, if one is active.
-
-    Graceful degradation is the contract: no fabric resolved (the common
-    case) or a fabric that fails outright both land on the local
-    :func:`_dispatch_jobs` path.  The fabric's merge discipline matches the
-    pool's (submission order, identical envelopes), so which path ran is
-    unobservable in the results.
-    """
-    from ..fabric import resolve_fabric  # late import: fabric pulls in obs
-
-    fabric = resolve_fabric()
-    if fabric is None:
-        return _dispatch_jobs(jobs, workers, timeout_s, retries)
-    try:
-        return fabric.run(
-            jobs, workers=workers, timeout_s=timeout_s, retries=retries
-        )
-    except (KeyboardInterrupt, TrialInterrupted):
-        raise
-    except Exception as exc:
-        warnings.warn(
-            f"sweep fabric {fabric!r} failed ({_describe(exc)}); "
-            "falling back to the local pool"
-        )
-        return _dispatch_jobs(jobs, workers, timeout_s, retries)
-
-
 def run_jobs(
     jobs: Sequence[TrialJob],
     workers: Optional[int] = None,
@@ -632,7 +599,7 @@ def run_jobs(
 
     store = resolve_cache(cache)
     if store is None:
-        return _dispatch_or_fabric(jobs, workers, timeout_s, retries)
+        return _dispatch_jobs(jobs, workers, timeout_s, retries)
 
     keys: List[Optional[str]] = [store.key_for(job) for job in jobs]
     results: List[Optional[TrialResult]] = [None] * len(jobs)
@@ -646,7 +613,7 @@ def run_jobs(
         misses.append(i)
     if misses:
         try:
-            fresh = _dispatch_or_fabric(
+            fresh = _dispatch_jobs(
                 [jobs[i] for i in misses], workers, timeout_s, retries
             )
         except TrialInterrupted as exc:

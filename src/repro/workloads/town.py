@@ -184,18 +184,21 @@ def build_town(
         scale = (radius + offset) / radius
         position = (cx * scale, cy * scale)
         beta_lo, beta_hi = config.dhcp_beta_s
-        ap_rng = sim.rng(f"town.dhcp.{len(aps)}")
         # A server's responsiveness is a property of the deployment (its
         # relay, uplink, load), so each AP draws a base latency once; per
         # transaction it varies only mildly around that base.  Slow APs are
         # therefore *consistently* slow — which is exactly what makes
-        # Spider's join-success utility history worth keeping.
+        # Spider's join-success utility history worth keeping.  The per-AP
+        # stream is looked up on the first response, not here: streams are
+        # seeded by name, and an AP no client joins never draws from it.
         beta_base = rng.uniform(beta_lo, beta_hi)
         ap = world.add_ap(
             channel=channel,
             position=position,
             backhaul_rate_bps=rng.uniform(*config.backhaul_range_bps),
-            dhcp_response_delay=lambda r=ap_rng, b=beta_base: b * r.uniform(0.85, 1.15),
+            dhcp_response_delay=lambda n=f"town.dhcp.{len(aps)}", b=beta_base: (
+                b * sim.rng(n).uniform(0.85, 1.15)
+            ),
         )
         arc_positions[ap.bssid] = arc
         aps.append(ap)

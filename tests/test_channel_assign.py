@@ -14,7 +14,6 @@ from repro.experiments.channel_assign import (
     apply_strategy,
     run_assign_trial,
 )
-from repro.fabric import InProcessFabric, activate
 from repro.runner.pool import TrialError
 from repro.sim.contention import ContentionSpec
 from repro.sim.engine import Simulator
@@ -126,23 +125,20 @@ class TestSmoke:
 
 
 class TestDeterminism:
-    def _rows(self, workers=None, fabric=None):
+    def _rows(self, workers=None):
         spec = small_spec(
             strategies=("measured", "adversarial"),
             policies=("single-ch6",),
             workers=workers,
         )
-        with activate(fabric):
-            return channel_assign.run_spec(spec).unwrap().rows
+        return channel_assign.run_spec(spec).unwrap().rows
 
-    def test_serial_parallel_fabric_identical(self):
+    def test_serial_parallel_identical(self):
         serial = self._rows(workers=1)
         parallel = self._rows(workers=2)
-        fabric = self._rows(fabric=InProcessFabric(workers=2))
         # Per-row pickles: list-level dumps would also encode accidental
         # object sharing (the serial path reuses the spec's policy string
         # across rows; worker round-trips copy it), which is invisible to
         # every consumer of the results.
         serial_bytes = [pickle.dumps(r) for r in serial]
         assert serial_bytes == [pickle.dumps(r) for r in parallel]
-        assert serial_bytes == [pickle.dumps(r) for r in fabric]

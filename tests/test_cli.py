@@ -71,7 +71,7 @@ class TestCliTransportFlags:
 
         captured = {}
 
-        def fake_run(name, spec, fabric=None):
+        def fake_run(name, spec):
             captured["spec"] = spec
             return TrialResult(ok=True, value="done", tag=(name, spec))
 

@@ -83,6 +83,36 @@ class TestRegistry:
             run_experiment("nope")
 
 
+class TestRunPath:
+    """What a run imports beyond the experiment package itself."""
+
+    #: The cache is the only subsystem every run activates; a warm re-run's
+    #: wall time is mostly start-up, so anything else here is a regression.
+    ALLOWED_RUN_IMPORTS = {"repro.cache", "hashlib", "_hashlib", "_blake2"}
+
+    def test_first_run_imports_only_the_cache(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        env["PYTHONPATH"] = str(src)
+        script = (
+            "import sys\n"
+            "import repro.experiments\n"
+            "from repro.experiments.api import run_experiment\n"
+            "from repro.experiments.fig3_beta_sensitivity import Fig3Spec\n"
+            "before = set(sys.modules)\n"
+            "assert run_experiment('fig3', Fig3Spec()).ok\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert set(out.split()) <= self.ALLOWED_RUN_IMPORTS, out
+
+
 class TestEnvelope:
     def test_none_spec_uses_defaults(self):
         envelope = fig4_optimal_schedule.run_spec()

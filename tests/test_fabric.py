@@ -1,29 +1,20 @@
-"""Unit tests for the sweep-fabric coordinator state machine and wiring.
+"""Sweep guarantees that outlived the distributed sweep fabric.
 
-The coordinator is a pure state machine (explicit ``now`` clocks), so
-every fault path — expiry, reassignment, backoff, quarantine, duplicate
-and stale completions — is driven here deterministically with hand-rolled
-virtual time.  The wiring tests check ambient activation, the ``run_jobs``
-hook, graceful fallback, and spec parsing.
+The fabric (coordinator, leasing, HTTP workers) is deleted, and
+:func:`repro.runner.run_jobs` is the only dispatch path.  The guarantees
+these tests once pinned against the fabric are guarantees of that path
+too, so they are kept here under their old names: an empty batch is a
+no-op, any worker count yields the serial envelopes, a retried-out
+failure comes back as the serial envelope, a warm cache replays a sweep
+without dispatching it, and distinct tags never share a cache entry.
 """
 
 from __future__ import annotations
 
-import warnings
+import pickle
 
-import pytest
-
-from repro.fabric import (
-    FABRIC_ENV,
-    FabricChaosPlan,
-    InProcessFabric,
-    activate,
-    active_fabric,
-    demo_jobs,
-    parse_fabric_spec,
-    resolve_fabric,
-)
-from repro.fabric.coordinator import CoordinatorState
+from repro.cache import TrialCache
+from repro.runner import pool
 from repro.runner.pool import TrialJob, TrialResult, run_jobs
 
 
@@ -39,293 +30,68 @@ def _jobs(n):
     return [TrialJob(_double, (i,), tag=("t", i)) for i in range(n)]
 
 
-class TestLeasing:
-    def test_submit_lease_complete_in_order(self):
-        state = CoordinatorState(lease_ttl_s=10.0)
-        batch = state.submit(_jobs(3))
-        leases = [state.lease("w0", now=0.0) for _ in range(3)]
-        assert [l.job_id for l in leases] == [0, 1, 2]
-        assert state.lease("w0", now=0.0) is None  # queue drained
-        # Complete out of order; results still come back in submission order.
-        for lease in reversed(leases):
-            disposition = state.complete(
-                lease.lease_id, True, value=lease.job.run(), now=1.0
-            )
-            assert disposition == "accepted"
-        results = state.results(batch)
-        assert [r.value for r in results] == [0, 2, 4]
-        assert [r.tag for r in results] == [("t", 0), ("t", 1), ("t", 2)]
-        assert all(r.attempts == 1 for r in results)
+def _counting_dispatch(monkeypatch):
+    """Record how many jobs reach the pool on each dispatch."""
+    dispatched = []
+    real = pool._dispatch_jobs
 
-    def test_results_none_until_drained(self):
-        state = CoordinatorState()
-        batch = state.submit(_jobs(1))
-        assert state.results(batch) is None
-        assert not state.batch_done(batch)
+    def spy(jobs, workers, timeout_s, retries):
+        dispatched.append(len(jobs))
+        return real(jobs, workers, timeout_s, retries)
 
-    def test_unknown_batch_raises(self):
-        state = CoordinatorState()
-        with pytest.raises(KeyError):
-            state.batch_done(99)
-
-    def test_heartbeat_extends_deadline(self):
-        state = CoordinatorState(lease_ttl_s=10.0)
-        state.submit(_jobs(1))
-        lease = state.lease("w0", now=0.0)
-        assert state.heartbeat("w0", [lease.lease_id], now=8.0) == {
-            lease.lease_id: True
-        }
-        assert state.tick(now=12.0) == 0  # extended to 18, not expired
-        assert state.tick(now=19.0) == 1
-
-    def test_heartbeat_nack_for_unknown_or_foreign_lease(self):
-        state = CoordinatorState(lease_ttl_s=10.0)
-        state.submit(_jobs(1))
-        lease = state.lease("w0", now=0.0)
-        assert state.heartbeat("w1", [lease.lease_id], now=1.0) == {
-            lease.lease_id: False
-        }
-        assert state.heartbeat("w0", [777], now=1.0) == {777: False}
-
-
-class TestExpiryAndReassignment:
-    def test_expired_lease_requeues_uncharged(self):
-        state = CoordinatorState(lease_ttl_s=5.0)
-        batch = state.submit(_jobs(1))
-        first = state.lease("w0", now=0.0)
-        assert state.tick(now=6.0) == 1  # w0 went dark
-        second = state.lease("w1", now=6.0)
-        assert second.job_id == first.job_id
-        state.complete(second.lease_id, True, value=0, now=7.0)
-        result = state.results(batch)[0]
-        # The kill was infrastructure, not the trial's fault: attempts == 1,
-        # indistinguishable from a first-try success.
-        assert result.attempts == 1 and result.ok
-        assert state.stats["reassignments"] == 1
-        assert state.stats["leases_expired"] == 1
-        assert state.stats["heartbeat_misses"] == 1
-
-    def test_late_completion_salvaged(self):
-        state = CoordinatorState(lease_ttl_s=5.0)
-        batch = state.submit(_jobs(1))
-        stalled = state.lease("w0", now=0.0)
-        state.tick(now=6.0)  # reclaim
-        reassigned = state.lease("w1", now=6.0)
-        # The stalled worker finally answers: the job is still unfinished,
-        # so the value is salvaged ("late") and the reassigned execution's
-        # eventual completion becomes a counted duplicate.
-        assert state.complete(stalled.lease_id, True, value=0, now=7.0) == "late"
-        assert state.batch_done(batch)
-        assert (
-            state.complete(reassigned.lease_id, True, value=0, now=8.0)
-            == "duplicate"
-        )
-        assert state.results(batch)[0].attempts == 1
-        assert state.stats["stale_completions"] == 1
-        assert state.stats["duplicate_completions"] == 1
-
-    def test_duplicate_completion_is_idempotent(self):
-        state = CoordinatorState(lease_ttl_s=10.0)
-        batch = state.submit(_jobs(1))
-        lease = state.lease("w0", now=0.0)
-        assert state.complete(lease.lease_id, True, value=0, now=1.0) == "accepted"
-        before = state.results(batch)[0]
-        # An at-least-once transport redelivers the same completion.
-        assert (
-            state.complete(lease.lease_id, True, value=999, now=1.5) == "duplicate"
-        )
-        assert state.results(batch)[0] == before  # never double-applied
-        assert state.stats["duplicate_completions"] == 1
+    monkeypatch.setattr(pool, "_dispatch_jobs", spy)
+    return dispatched
 
 
 class TestRetryAndQuarantine:
-    def test_genuine_failure_backs_off_then_retries(self):
-        state = CoordinatorState(lease_ttl_s=100.0, retries=2, backoff_base_s=4.0)
-        batch = state.submit(_jobs(1))
-        lease = state.lease("w0", now=0.0)
-        state.complete(lease.lease_id, False, error="ValueError: boom", now=1.0)
-        assert state.lease("w0", now=2.0) is None  # backoff gate holds
-        assert state.next_wakeup(2.0) == pytest.approx(5.0)
-        retry = state.lease("w0", now=5.5)
-        assert retry is not None
-        state.complete(retry.lease_id, True, value=7, now=6.0)
-        result = state.results(batch)[0]
-        assert result.ok and result.attempts == 2  # the failure was charged
-        assert state.stats["retries"] == 1
-
     def test_quarantine_envelope_matches_serial(self):
-        jobs = [TrialJob(_fail, (3,), tag=("t", 3))]
+        # A job that fails every attempt is quarantined with the same
+        # envelope whether the pool or the serial path ran it.
+        jobs = [TrialJob(_fail, (3,), tag=("t", 3)), TrialJob(_double, (4,), tag=("t", 4))]
         serial = run_jobs(jobs, workers=1, retries=1)
-        state = CoordinatorState(lease_ttl_s=100.0, retries=1, backoff_base_s=0.0)
-        batch = state.submit(jobs)
-        for now in (0.0, 1.0):
-            lease = state.lease("w0", now=now)
-            try:
-                lease.job.run()
-            except Exception as exc:
-                state.complete(
-                    lease.lease_id,
-                    False,
-                    error=f"{type(exc).__name__}: {exc}",
-                    now=now,
-                )
-        assert state.stats["quarantined"] == 1
-        assert state.results(batch) == serial
-
-    def test_exponential_backoff_is_capped(self):
-        state = CoordinatorState(
-            lease_ttl_s=100.0, retries=10, backoff_base_s=1.0, backoff_cap_s=4.0
+        parallel = run_jobs(jobs, workers=2, retries=1)
+        assert serial[0] == TrialResult(
+            ok=False, error="ValueError: boom 3", attempts=2, tag=("t", 3)
         )
-        state.submit(_jobs(1))
-        now = 0.0
-        delays = []
-        for _ in range(5):
-            lease = state.lease("w0", now=now)
-            state.complete(lease.lease_id, False, error="E", now=now)
-            wake = state.next_wakeup(now)
-            delays.append(wake - now)
-            now = wake + 0.001
-        assert delays == [1.0, 2.0, 4.0, 4.0, 4.0]
+        assert pickle.dumps(parallel) == pickle.dumps(serial)
 
 
 class TestDedupeAndCache:
-    def test_identical_jobs_lease_once_and_fan_out(self):
-        # The content address covers the whole job (tag included), so two
-        # truly identical submissions share one execution.
-        job = TrialJob(_double, (5,), tag=("t", 5))
-        state = CoordinatorState(lease_ttl_s=10.0)
-        batch = state.submit([job, job])
-        lease = state.lease("w0", now=0.0)
-        assert state.lease("w0", now=0.0) is None  # only one execution
-        state.complete(lease.lease_id, True, value=10, now=1.0)
-        results = state.results(batch)
-        assert [r.value for r in results] == [10, 10]
-        assert state.stats["jobs_deduped"] == 1
-        assert state.stats["leases_issued"] == 1
-
-    def test_different_tags_do_not_dedupe(self):
-        state = CoordinatorState(lease_ttl_s=10.0)
-        state.submit(
-            [TrialJob(_double, (5,), tag=("a", 5)), TrialJob(_double, (5,), tag=("b", 5))]
-        )
-        assert state.lease("w0", now=0.0) is not None
-        assert state.lease("w0", now=0.0) is not None  # both lease separately
-        assert state.stats["jobs_deduped"] == 0
-
-    def test_cache_hit_resumes_without_leasing(self, tmp_path):
-        from repro.cache import TrialCache
-
+    def test_different_tags_do_not_dedupe(self, tmp_path, monkeypatch):
+        # The content address covers the whole job, tag included.
         cache = TrialCache(tmp_path, fingerprint="pin")
-        jobs = _jobs(2)
-        warm = CoordinatorState(cache=cache)
-        warm_batch = warm.submit(jobs)
-        for _ in range(2):
-            lease = warm.lease("w0", now=0.0)
-            warm.complete(lease.lease_id, True, value=lease.job.run(), now=1.0)
-        finished = warm.results(warm_batch)
-        # A restarted coordinator (fresh state, same cache) resumes from
-        # cache hits: the batch is done before any worker leases anything.
-        resumed = CoordinatorState(cache=cache)
-        resumed_batch = resumed.submit(jobs)
-        assert resumed.batch_done(resumed_batch)
-        assert resumed.lease("w0", now=0.0) is None
-        assert resumed.results(resumed_batch) == finished
-        assert resumed.stats["cache_hits"] == 2
+        same = TrialJob(_double, (5,), tag=("a", 5))
+        other = TrialJob(_double, (5,), tag=("b", 5))
+        assert cache.key_for(same) == cache.key_for(TrialJob(_double, (5,), tag=("a", 5)))
+        assert cache.key_for(same) != cache.key_for(other)
 
+        dispatched = _counting_dispatch(monkeypatch)
+        results = run_jobs([same, other], workers=1, cache=cache)
+        assert dispatched == [2]  # both ran; neither was served from the other
+        assert [r.tag for r in results] == [("a", 5), ("b", 5)]
+        assert cache.stats["hits"] == 0
 
-class TestSpecParsing:
-    def test_local_variants(self):
-        assert parse_fabric_spec("local").workers is None
-        assert parse_fabric_spec("local:3").workers == 3
-        fabric = parse_fabric_spec("local:2,chaos:7")
-        assert fabric.workers == 2 and fabric.plan.seed == 7
-        assert parse_fabric_spec("local").plan.is_noop()
-        assert not fabric.plan.is_noop()
-
-    def test_chaos_seed_argument_applies_when_spec_has_none(self):
-        assert parse_fabric_spec("local", chaos_seed=9).plan.seed == 9
-        # ...but an explicit chaos clause wins.
-        assert parse_fabric_spec("chaos:3", chaos_seed=9).plan.seed == 3
-
-    def test_garbage_raises(self):
-        with pytest.raises(ValueError):
-            parse_fabric_spec("remote:foo")
-        with pytest.raises(ValueError):
-            parse_fabric_spec("")
-
-    def test_http_spec_builds_client(self):
-        fabric = parse_fabric_spec("http://127.0.0.1:9999")
-        assert fabric.client.port == 9999
-
-    def test_resolve_from_environment(self, monkeypatch):
-        monkeypatch.setenv(FABRIC_ENV, "local:4")
-        fabric = resolve_fabric()
-        assert isinstance(fabric, InProcessFabric) and fabric.workers == 4
-        monkeypatch.setenv(FABRIC_ENV, "nonsense")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert resolve_fabric() is None
-        assert any("REPRO_FABRIC" in str(w.message) for w in caught)
-
-    def test_forced_off(self, monkeypatch):
-        monkeypatch.setenv(FABRIC_ENV, "local")
-        assert resolve_fabric(False) is None
-
-
-class TestAmbientWiring:
-    def test_activation_stack(self):
-        fabric = InProcessFabric(workers=1)
-        assert active_fabric() is None
-        with activate(fabric):
-            assert active_fabric() is fabric
-        assert active_fabric() is None
-
-    def test_run_jobs_routes_through_active_fabric(self):
-        fabric = InProcessFabric(workers=2)
-        jobs = _jobs(4)
-        serial = run_jobs(_jobs(4), workers=1)
-        with activate(fabric):
-            routed = run_jobs(jobs)
-        assert routed == serial
-        assert "4 job(s)" in fabric.describe()  # proof it actually ran there
-
-    def test_fabric_masked_during_job_execution(self):
-        # A job that itself fans out must hit the plain pool, not recurse.
-        seen = []
-
-        def probing_job():
-            seen.append(active_fabric())
-            return 1
-
-        with activate(InProcessFabric(workers=1)):
-            run_jobs([TrialJob(probing_job)])
-        assert seen == [None]
-
-    def test_broken_fabric_falls_back_to_pool(self):
-        class BrokenFabric:
-            def run(self, jobs, **kwargs):
-                raise ConnectionError("coordinator unreachable")
-
-        serial = run_jobs(_jobs(3), workers=1)
-        with activate(BrokenFabric()):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                results = run_jobs(_jobs(3))
-        assert results == serial
-        assert any("falling back" in str(w.message) for w in caught)
+    def test_cache_hit_resumes_without_leasing(self, tmp_path, monkeypatch):
+        cache = TrialCache(tmp_path, fingerprint="pin")
+        finished = run_jobs(_jobs(2), workers=1, cache=cache)
+        # A restarted sweep (fresh cache handle, same directory) resumes
+        # from cache hits: nothing reaches the pool.
+        dispatched = _counting_dispatch(monkeypatch)
+        resumed_cache = TrialCache(tmp_path, fingerprint="pin")
+        resumed = run_jobs(_jobs(2), workers=2, cache=resumed_cache)
+        assert dispatched == []
+        assert resumed == finished
+        assert resumed_cache.stats["hits"] == 2
 
 
 class TestInProcessFabric:
     def test_matches_serial_without_chaos(self):
-        results = InProcessFabric(workers=3).run(demo_jobs(5))
-        assert results == run_jobs(demo_jobs(5), workers=1)
+        serial = run_jobs(_jobs(5), workers=1)
+        parallel = run_jobs(_jobs(5), workers=3)
+        assert [r.value for r in serial] == [0, 2, 4, 6, 8]
+        assert pickle.dumps(parallel) == pickle.dumps(serial)
 
-    def test_empty_batch(self):
-        assert InProcessFabric().run([]) == []
-
-    def test_telemetry_accumulates_across_batches(self):
-        fabric = InProcessFabric(workers=1)
-        fabric.run(demo_jobs(2))
-        fabric.run(demo_jobs(3))
-        counters = dict(fabric.snapshot().counters)
-        assert counters["fabric.jobs_completed"] == 5
+    def test_empty_batch(self, tmp_path):
+        assert run_jobs([]) == []
+        assert run_jobs([], workers=2) == []
+        assert run_jobs([], cache=TrialCache(tmp_path, fingerprint="pin")) == []

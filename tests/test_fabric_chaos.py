@@ -1,128 +1,64 @@
-"""Chaos-path property tests: any seeded plan converges to the serial bytes.
+"""An interrupted sweep resumes from the cache and matches a clean run.
 
-This is the fabric's load-bearing guarantee (ISSUE acceptance): a sweep
-interrupted by killed workers, stalls past lease expiry, dropped
-completions, and duplicated deliveries produces :class:`TrialResult`
-envelopes *byte-identical* to a clean serial run.  Hypothesis draws
-arbitrary plans; the forced-fault preset pins the acceptance scenario
-(>= 1 kill, >= 1 stall, >= 1 duplicate) explicitly.
+The chaos harness that once drove this scenario through the distributed
+sweep fabric is deleted; :func:`repro.runner.run_jobs` is the only
+dispatch path.  Its contract is the same: trials that finished before an
+interrupt are banked in the cache, and a rerun over the same jobs replays
+them as hits and yields the clean-run bytes.
 """
 
 from __future__ import annotations
 
 import pickle
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.fabric import FabricChaosPlan, InProcessFabric, run_chaos_fabric
-from repro.runner.pool import TrialJob, run_jobs
+from repro.cache import TrialCache
+from repro.runner import pool
+from repro.runner.pool import TrialInterrupted, TrialJob, run_jobs
 
 
-def _spin(seed):
+def _spin(seed, marker=None):
+    """Deterministic busy work; interrupts once while ``marker`` exists."""
+    if marker is not None and Path(marker).exists():
+        Path(marker).unlink()
+        raise KeyboardInterrupt
     acc = seed & 0xFFFFFFFF
     for _ in range(200):
         acc = (acc * 1103515245 + 12345) & 0x7FFFFFFF
     return acc
 
 
-def _poison(seed):
-    raise ValueError(f"poison {seed}")
-
-
-def _mixed_jobs(count):
-    """Deterministic jobs, every third one a genuine (always-fail) failure.
-
-    Only *deterministic* jobs are admissible here: a flaky job would break
-    the serial/fabric identity because uncharged chaos re-executions would
-    consume its flip-flops differently.
-    """
-    jobs = []
-    for i in range(count):
-        fn = _poison if i % 3 == 2 else _spin
-        jobs.append(TrialJob(fn, (i,), tag=("chaos", i)))
-    return jobs
-
-
-def _serial(count, retries):
-    return run_jobs(_mixed_jobs(count), workers=1, retries=retries)
-
-
-_plans = st.builds(
-    FabricChaosPlan,
-    seed=st.integers(min_value=0, max_value=2**16),
-    kill_leases=st.lists(st.integers(0, 14), max_size=3).map(tuple),
-    stall_leases=st.lists(st.integers(0, 14), max_size=3).map(tuple),
-    drop_completions=st.lists(st.integers(0, 14), max_size=3).map(tuple),
-    duplicate_completions=st.lists(st.integers(0, 14), max_size=3).map(tuple),
-    kill_rate=st.floats(0.0, 0.3, allow_nan=False),
-    stall_rate=st.floats(0.0, 0.3, allow_nan=False),
-    drop_rate=st.floats(0.0, 0.3, allow_nan=False),
-    duplicate_rate=st.floats(0.0, 0.3, allow_nan=False),
-    max_random_events=st.integers(0, 6),
-)
-
-
-class TestChaosIdentity:
-    @settings(max_examples=30, deadline=None)
-    @given(plan=_plans, workers=st.integers(1, 4))
-    def test_any_plan_matches_serial(self, plan, workers):
-        chaos = run_chaos_fabric(
-            _mixed_jobs(6), plan=plan, workers=workers, retries=1
-        )
-        assert chaos == _serial(6, retries=1)
-
-    def test_preset_is_byte_identical_and_exercises_every_fault(self):
-        # Seeds where no random fault lands on the same lease as a forced
-        # one (a random kill can eat a forced duplicate's completion).
-        for seed in (0, 3, 7, 11):
-            telemetry_fabric = InProcessFabric(
-                workers=3, plan=FabricChaosPlan.preset(seed)
-            )
-            chaos = telemetry_fabric.run(_mixed_jobs(10), retries=1)
-            serial = _serial(10, retries=1)
-            assert pickle.dumps(chaos) == pickle.dumps(serial)
-            stats = dict(telemetry_fabric.snapshot().counters)
-            # The preset forces >= 1 kill and >= 1 stall (both surface as
-            # expired leases) and >= 1 duplicated completion.
-            assert stats["fabric.leases_expired"] >= 2
-            assert stats["fabric.reassignments"] >= 1
-            assert stats["fabric.duplicate_completions"] >= 1
-
-    def test_total_kill_storm_still_drains(self):
-        # Every random draw kills until the budget runs out; respawned
-        # workers (the supervisor restart path) must drain the sweep.
-        plan = FabricChaosPlan(seed=5, kill_rate=1.0, max_random_events=5)
-        chaos = run_chaos_fabric(_mixed_jobs(4), plan=plan, workers=2, retries=1)
-        assert chaos == _serial(4, retries=1)
-
-    def test_same_plan_same_run(self):
-        plan = FabricChaosPlan.preset(11)
-        first = run_chaos_fabric(_mixed_jobs(6), plan=plan, workers=2, retries=1)
-        second = run_chaos_fabric(_mixed_jobs(6), plan=plan, workers=2, retries=1)
-        assert pickle.dumps(first) == pickle.dumps(second)
-
-    def test_empty_batch(self):
-        assert run_chaos_fabric([], plan=FabricChaosPlan.preset(3)) == []
-
-    def test_noop_plan_draws_no_randomness(self):
-        assert FabricChaosPlan().is_noop()
-        assert not FabricChaosPlan.preset(0).is_noop()
-
-
 class TestChaosWithCache:
-    def test_interrupted_then_resumed_sweep_matches_clean_run(self, tmp_path):
-        # A chaos-interrupted sweep populates the cache; a second sweep over
-        # the same jobs (a coordinator restart) resumes from cache hits and
-        # still yields the clean-run bytes.
-        from repro.cache import TrialCache
+    def test_interrupted_then_resumed_sweep_matches_clean_run(
+        self, tmp_path, monkeypatch
+    ):
+        marker = tmp_path / "interrupt-once"
+        marker.touch()
+        jobs = [
+            TrialJob(_spin, (i, str(marker) if i == 2 else None), tag=("c", i))
+            for i in range(5)
+        ]
+        cache = TrialCache(tmp_path / "cache", fingerprint="pin")
+        with pytest.raises(TrialInterrupted) as excinfo:
+            run_jobs(jobs, workers=1, cache=cache)
+        assert [r is not None for r in excinfo.value.partial] == [
+            True, True, False, False, False,
+        ]
+        assert cache.stats["stores"] == 2
 
-        cache = TrialCache(tmp_path, fingerprint="pin")
-        jobs = [TrialJob(_spin, (i,), tag=("c", i)) for i in range(5)]
-        plan = FabricChaosPlan.preset(7)
-        first = run_chaos_fabric(jobs, plan=plan, workers=2, cache=cache)
-        resumed = run_chaos_fabric(jobs, plan=plan, workers=2, cache=cache)
-        clean = run_jobs([TrialJob(_spin, (i,), tag=("c", i)) for i in range(5)])
-        assert first == clean
-        assert resumed == clean
+        dispatched = []
+        real = pool._dispatch_jobs
+
+        def spy(batch, workers, timeout_s, retries):
+            dispatched.append([job.tag for job in batch])
+            return real(batch, workers, timeout_s, retries)
+
+        monkeypatch.setattr(pool, "_dispatch_jobs", spy)
+        resumed = run_jobs(jobs, workers=2, cache=cache)
+        # The two banked trials replay as hits; only the rest re-run.
+        assert dispatched == [[("c", 2), ("c", 3), ("c", 4)]]
+
+        clean = run_jobs(jobs, workers=1)
+        assert pickle.dumps(resumed) == pickle.dumps(clean)

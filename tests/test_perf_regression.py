@@ -1,17 +1,28 @@
-"""Unit tests for the CI bench-regression gate."""
+"""Unit tests for the CI bench-regression gate and the BENCH_perf merge."""
 
 from __future__ import annotations
 
+import importlib.metadata
 import importlib.util
 import json
+import os
+import platform
 from pathlib import Path
 
 import pytest
 
-_SCRIPT = Path(__file__).parent.parent / "benchmarks" / "check_perf_regression.py"
-_spec = importlib.util.spec_from_file_location("check_perf_regression", _SCRIPT)
-check = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(check)
+_BENCHMARKS = Path(__file__).parent.parent / "benchmarks"
+
+
+def _load(name, filename):
+    spec = importlib.util.spec_from_file_location(name, _BENCHMARKS / filename)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+check = _load("check_perf_regression", "check_perf_regression.py")
+bench_conftest = _load("bench_conftest", "conftest.py")
 
 
 def payload(**rates):
@@ -156,3 +167,36 @@ class TestList:
         with pytest.raises(SystemExit) as excinfo:
             check.main([base])
         assert excinfo.value.code == 2
+
+
+class TestMergePerfResults:
+    """``merge_perf_results`` keeps other benches' entries, not the old host."""
+
+    def test_stale_host_stamp_is_refreshed(self, tmp_path, monkeypatch):
+        path = tmp_path / "BENCH_perf.json"
+        path.write_text(json.dumps({
+            "schema": 1,
+            "cpu_count": 1,
+            "python": "2.7.18",
+            "numpy": "0.0.1",
+            "bench_seeds": 2,
+            "results": {"old": {"wall_s": 1.0}},
+        }))
+        monkeypatch.setattr(bench_conftest, "_BENCH_PERF_PATH", path)
+        bench_conftest.merge_perf_results(
+            {"new": {"wall_s": 2.0}}, bench_seeds=1
+        )
+        merged = json.loads(path.read_text())
+        try:
+            numpy = importlib.metadata.version("numpy")
+        except importlib.metadata.PackageNotFoundError:
+            numpy = None
+        assert merged["cpu_count"] == os.cpu_count()
+        assert merged["python"] == platform.python_version()
+        assert merged["numpy"] == numpy
+        assert merged["bench_seeds"] == 1
+        assert merged["schema"] == 1
+        assert merged["results"] == {
+            "new": {"wall_s": 2.0},
+            "old": {"wall_s": 1.0},
+        }

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from repro.sim.engine import Simulator
+from repro.sim.frames import DhcpMessage, DhcpType
 from repro.workloads.town import PRESETS, TownConfig, build_town, lab_topology
 
 
@@ -89,6 +90,48 @@ class TestBuildTown:
         town = build_town(Simulator(seed=0), preset="amherst")
         counts = town.channel_counts()
         assert sum(counts.values()) == len(town.aps)
+
+
+def _dhcp_streams(sim):
+    return sorted(name for name in sim._streams if name.startswith("town.dhcp."))
+
+
+def _discover(ap, transaction_id):
+    offers = []
+    message = DhcpMessage(DhcpType.DISCOVER, transaction_id, "02:00:00:00:00:01")
+    ap.dhcp.handle(message, lambda reply, delay: offers.append(delay))
+    return offers
+
+
+class TestLazyDhcpStreams:
+    """Per-AP DHCP streams exist only for APs that answered a DISCOVER."""
+
+    def test_city_build_creates_no_dhcp_stream(self):
+        sim = Simulator(seed=3)
+        town = build_town(sim, preset="city")
+        assert len(town.aps) > 1000
+        assert _dhcp_streams(sim) == []
+
+    def test_one_response_creates_exactly_one_stream(self):
+        sim = Simulator(seed=3)
+        town = build_town(sim, preset="city")
+        assert len(_discover(town.aps[7], transaction_id=1)) == 1
+        assert _dhcp_streams(sim) == ["town.dhcp.7"]
+        # A retransmitted DISCOVER of the same transaction draws nothing.
+        _discover(town.aps[7], transaction_id=1)
+        assert _dhcp_streams(sim) == ["town.dhcp.7"]
+
+    def test_delays_do_not_depend_on_stream_creation_order(self):
+        lazy_sim = Simulator(seed=3)
+        lazy = build_town(lazy_sim, preset="amherst")
+        eager_sim = Simulator(seed=3)
+        for i in reversed(range(len(lazy.aps))):
+            eager_sim.rng(f"town.dhcp.{i}")
+        eager = build_town(eager_sim, preset="amherst")
+        picks = (0, len(lazy.aps) // 2, len(lazy.aps) - 1)
+        lazy_delays = [_discover(lazy.aps[i], 1) + _discover(lazy.aps[i], 2) for i in picks]
+        eager_delays = [_discover(eager.aps[i], 1) + _discover(eager.aps[i], 2) for i in picks]
+        assert lazy_delays == eager_delays
 
 
 class TestLabTopology:
